@@ -2,7 +2,9 @@
 // machine cluster (100 racks x 40 machines) with a varying number of jobs —
 // now measured at 1 thread and at full hardware concurrency over a
 // jobs x racks grid, with the series recorded in BENCH_planner_runtime.json
-// as the repo's planner-performance trajectory file.
+// as the repo's planner-performance trajectory file. Times print in
+// milliseconds: the bound-and-prune provisioning search plans even the
+// largest grid point in milliseconds.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -34,16 +36,23 @@ struct GridPoint {
   Seconds predicted_makespan = 0;
 };
 
+// Fastest of three plans: with the bound-and-prune search a point takes
+// milliseconds, where one scheduler hiccup would otherwise dominate.
 double plan_seconds(const std::vector<JobSpec>& jobs,
                     const ClusterConfig& cluster, exec::ThreadPool& pool,
                     Seconds* makespan) {
   PlannerConfig config;
   config.pool = &pool;
-  const auto start = std::chrono::steady_clock::now();
-  const Plan plan = plan_offline(jobs, cluster, config);
-  const auto stop = std::chrono::steady_clock::now();
-  if (makespan != nullptr) *makespan = plan.predicted_makespan;
-  return std::chrono::duration<double>(stop - start).count();
+  double best = 1e300;
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    const auto start = std::chrono::steady_clock::now();
+    const Plan plan = plan_offline(jobs, cluster, config);
+    const auto stop = std::chrono::steady_clock::now();
+    if (makespan != nullptr) *makespan = plan.predicted_makespan;
+    best = std::min(best,
+                    std::chrono::duration<double>(stop - start).count());
+  }
+  return best;
 }
 
 }  // namespace
@@ -82,7 +91,7 @@ int main(int argc, char** argv) {
             : std::vector<int>{50, 100, 200, 300, 400, 500};
   std::vector<GridPoint> grid;
   std::printf("\n%-8s %-8s %14s %14s %10s\n", "jobs", "racks",
-              "1 thread (s)", "N threads (s)", "speedup");
+              "1 thread (ms)", "N threads (ms)", "speedup");
   for (int racks : rack_counts) {
     const ClusterConfig cluster = paper_cluster(racks);
     for (int count : job_counts) {
@@ -97,7 +106,8 @@ int main(int argc, char** argv) {
           plan_seconds(jobs, cluster, parallel_pool,
                        &point.predicted_makespan);
       std::printf("%-8d %-8d %14.2f %14.2f %9.2fx   (makespan %.0fs)\n",
-                  count, racks, point.serial_seconds, point.parallel_seconds,
+                  count, racks, point.serial_seconds * 1e3,
+                  point.parallel_seconds * 1e3,
                   point.serial_seconds /
                       std::max(point.parallel_seconds, 1e-9),
                   point.predicted_makespan);
@@ -124,7 +134,9 @@ int main(int argc, char** argv) {
   out << "  ]\n}\n";
   std::printf("\nseries written to BENCH_planner_runtime.json\n");
   std::printf(
-      "\nThe paper reports ~55s at 500 jobs on a 6-core/24GB desktop; the\n"
-      "O(J^2 R^2) scaling shape is the comparison target, not the constant.\n");
+      "\nThe paper reports ~55s at 500 jobs on a 6-core/24GB desktop for the\n"
+      "exhaustive O(J^2 R^2) search. The rack-time bound here skips almost\n"
+      "every candidate without changing the plan, so the time grows roughly\n"
+      "linearly in J*R instead (DESIGN.md, docs/planners.md).\n");
   return 0;
 }

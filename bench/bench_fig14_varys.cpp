@@ -1,8 +1,9 @@
 // Figure 14: large-scale simulation combining job schedulers (Yarn-CS,
 // Corral) with network schedulers (TCP max-min, Varys). The paper simulates
 // 2000 machines (50 racks x 40 x 20 slots, 1 Gbps NICs) running 200 W1 jobs
-// arriving over 15 minutes. We keep the topology and halve the job count /
-// task scale to bound wall-clock time; the comparison is relative.
+// arriving over 15 minutes. We keep the topology and the 200-job count and
+// halve the task scale (W1Config::task_scale = 0.5) to bound wall-clock
+// time; the comparison is relative.
 #include <cstdio>
 
 #include "bench_common.h"

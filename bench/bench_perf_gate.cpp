@@ -64,8 +64,9 @@ double min_of(int runs, Fn fn) {
 
 // A mid-grid Fig 5 point: 150 W3 jobs on a 40-rack x 40-machine cluster,
 // planned single-threaded (the serial provisioning search is the regression
-// target; pool speedup is a separate axis). Sized to run long enough that
-// the 15% tolerance is well clear of timer and scheduler noise.
+// target; pool speedup is a separate axis). One bound-and-prune plan takes
+// milliseconds, so the timed region repeats it enough times to run >= 0.3 s
+// and keep the 15% tolerance well clear of timer and scheduler noise.
 ClusterConfig planner_cluster() {
   ClusterConfig cluster;
   cluster.racks = 40;
@@ -83,7 +84,11 @@ double planner_workload() {
   exec::ThreadPool pool(1);
   PlannerConfig config;
   config.pool = &pool;
-  return min_of(3, [&] { (void)plan_offline(jobs, cluster, config); });
+  return min_of(3, [&] {
+    for (int repeat = 0; repeat < 300; ++repeat) {
+      (void)plan_offline(jobs, cluster, config);
+    }
+  });
 }
 
 // The alternative planner backends (src/plan/backend.h) on the same 150-job
@@ -91,7 +96,7 @@ double planner_workload() {
 // bisection + rounding. Response functions are built outside the timed
 // region — the backend search is the regression target, the latency model
 // has its own coverage through planner_norm.
-double backend_workload(PlannerBackendKind kind) {
+double backend_workload(PlannerBackendKind kind, int repeats) {
   const ClusterConfig cluster = planner_cluster();
   Rng rng(5);
   const auto jobs = bench::w3(rng, 150);
@@ -108,10 +113,13 @@ double backend_workload(PlannerBackendKind kind) {
   request.num_racks = cluster.racks;
   request.config = &config;
   const plan::PlannerBackend& backend = plan::planner_backend(kind);
-  // The backend searches are milliseconds on this instance; repeat inside
-  // the timed region so the 15% tolerance is well clear of timer noise.
+  // One backend search takes milliseconds or less on this instance;
+  // `repeats` sizes the timed region so the 15% tolerance is well clear of
+  // timer noise.
   return min_of(3, [&] {
-    for (int repeat = 0; repeat < 10; ++repeat) (void)backend.plan(request);
+    for (int repeat = 0; repeat < repeats; ++repeat) {
+      (void)backend.plan(request);
+    }
   });
 }
 
@@ -188,8 +196,8 @@ int main(int argc, char** argv) {
 
   const double calib = std::min(calibration_run(), calibration_run());
   const double planner_s = planner_workload();
-  const double dagpack_s = backend_workload(PlannerBackendKind::kDagPack);
-  const double lpround_s = backend_workload(PlannerBackendKind::kLpRound);
+  const double dagpack_s = backend_workload(PlannerBackendKind::kDagPack, 800);
+  const double lpround_s = backend_workload(PlannerBackendKind::kLpRound, 10);
   const double ctrl_s = ctrl_workload();
   // The coflow-suite allocators on the same loop: lp-order re-solves its
   // ordering LP on every coflow-set change; sincronia's BSSI is the cheap

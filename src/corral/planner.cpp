@@ -118,8 +118,8 @@ std::pair<Seconds, Seconds> run_prioritization(
     std::sort(scratch.order.begin(), scratch.order.end(), online_less);
   }
 
-  // Evaluation-only path: the provisioning search calls this J*R times and
-  // only reads the returned (makespan, avg). The objective depends on the
+  // Evaluation-only path: the provisioning search runs this per candidate
+  // and only reads the returned (makespan, avg). The objective depends on the
   // *multiset* of per-rack finish times, never on which physical rack holds
   // which value, so we keep the finish values as one sorted array instead of
   // partial-sorting rack ids per job: the r_j racks that free up earliest
@@ -343,77 +343,200 @@ void validate_inputs(std::span<const ResponseFunction> jobs, int num_racks,
 // candidate evaluations never share mutable state.
 using ScratchSlots = std::vector<Scratch>;
 
-// The widen-longest chain of the provisioning phase (§4.2): which job is
-// widened at each step. The choice depends only on the racks vector — never
-// on the evaluation results — so the whole candidate sequence is known
-// before any prioritization pass runs, and the J*R evaluations are
+// The widen-longest chain of the provisioning phase (§4.2), generated one
+// step at a time: next() widens the longest job that can still grow and
+// returns its index, or -1 once the chain ends. The choice depends only on
+// the racks vector — never on evaluation results — so the whole candidate
+// sequence is fixed before any prioritization pass runs, and candidates are
 // embarrassingly parallel.
-std::vector<int> widening_chain(std::span<const ResponseFunction> jobs,
-                                int num_racks, const PlannerConfig& config) {
-  const std::size_t J = jobs.size();
-  std::vector<int> racks(J, 1);
-  std::vector<int> chain;
-  chain.reserve(J * static_cast<std::size_t>(num_racks));
-  // Cache L_j(r_j): each widening step changes exactly one job's latency,
-  // so the argmax scan below need not re-walk every response function.
-  std::vector<Seconds> latency(J);
-  for (std::size_t j = 0; j < J; ++j) latency[j] = jobs[j].at(racks[j]);
-  // A job can never grow past the racks its placement leaves eligible —
-  // widening beyond that only produces candidates the prioritization pass
-  // would reject anyway.
-  std::vector<int> width_cap(J, num_racks);
-  if (config.placements != nullptr) {
-    for (std::size_t j = 0; j < J; ++j) {
-      width_cap[j] =
-          std::min(num_racks, (*config.placements)[j].eligible_count);
-    }
-  }
-  // Total allocated racks among widened jobs, for the [19]-style stop rule.
-  long widened_total = 0;
-  while (true) {
-    // Find the longest job that can still be widened.
-    int longest = -1;
-    Seconds longest_latency = -1;
-    for (std::size_t j = 0; j < J; ++j) {
-      if (racks[j] >= width_cap[j]) continue;
-      if (latency[j] > longest_latency) {
-        longest_latency = latency[j];
-        longest = static_cast<int>(j);
+//
+// The longest job sits at the root of a max-heap ordered by (latency desc,
+// index asc), which is exactly the first maximum of a linear scan, found in
+// O(log J) instead of O(J) per step. A job whose latency is NaN or <= -1
+// never wins that scan and never enters the heap, so the chain is the same
+// in that case too.
+class WideningChain {
+ public:
+  WideningChain(std::span<const ResponseFunction> jobs, int num_racks,
+                const PlannerConfig& config)
+      : jobs_(jobs),
+        num_racks_(num_racks),
+        stop_at_full_cluster_(!config.explore_full_range),
+        racks_(jobs.size(), 1),
+        latency_(jobs.size()),
+        width_cap_(jobs.size(), num_racks) {
+    // A job can never grow past the racks its placement leaves eligible —
+    // widening beyond that only produces candidates the prioritization pass
+    // would reject anyway.
+    if (config.placements != nullptr) {
+      for (std::size_t j = 0; j < jobs.size(); ++j) {
+        width_cap_[j] =
+            std::min(num_racks, (*config.placements)[j].eligible_count);
       }
     }
-    if (longest < 0) break;  // every job reached r_j = R
-
-    const auto sj = static_cast<std::size_t>(longest);
-    if (racks[sj] == 1) widened_total += 2;  // 1 -> 2 racks
-    else ++widened_total;
-    ++racks[sj];
-    latency[sj] = jobs[sj].at(racks[sj]);
-    chain.push_back(longest);
-
-    if (!config.explore_full_range && widened_total >= num_racks) break;
+    heap_.reserve(jobs.size());
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      latency_[j] = jobs[j].at(1);
+      if (can_widen(j)) heap_.emplace_back(latency_[j], static_cast<int>(j));
+    }
+    std::make_heap(heap_.begin(), heap_.end(), lower_priority);
   }
-  return chain;
-}
+
+  int next() {
+    if (done_ || heap_.empty()) return -1;
+    const int longest = heap_.front().second;
+    const auto sj = static_cast<std::size_t>(longest);
+    // Total allocated racks among widened jobs, for the [19]-style stop rule.
+    widened_total_ += racks_[sj] == 1 ? 2 : 1;  // 1 -> 2 racks counts both
+    ++racks_[sj];
+    latency_[sj] = jobs_[sj].at(racks_[sj]);
+    std::pop_heap(heap_.begin(), heap_.end(), lower_priority);
+    heap_.pop_back();
+    if (can_widen(sj)) {
+      heap_.emplace_back(latency_[sj], longest);
+      std::push_heap(heap_.begin(), heap_.end(), lower_priority);
+    }
+    if (stop_at_full_cluster_ && widened_total_ >= num_racks_) done_ = true;
+    return longest;
+  }
+
+  const std::vector<int>& racks() const { return racks_; }
+  // L_j(r_j) at the current allocation.
+  Seconds latency(std::size_t j) const { return latency_[j]; }
+
+ private:
+  using Entry = std::pair<Seconds, int>;  // (latency, job)
+
+  static bool lower_priority(const Entry& a, const Entry& b) {
+    if (a.first != b.first) return a.first < b.first;
+    return a.second > b.second;
+  }
+
+  bool can_widen(std::size_t j) const {
+    return racks_[j] < width_cap_[j] && latency_[j] > -1;
+  }
+
+  std::span<const ResponseFunction> jobs_;
+  int num_racks_;
+  bool stop_at_full_cluster_;
+  bool done_ = false;
+  long widened_total_ = 0;
+  std::vector<int> racks_;
+  std::vector<Seconds> latency_;
+  std::vector<int> width_cap_;
+  std::vector<Entry> heap_;
+};
+
+// Rack-time volume bound on the makespan of a candidate allocation:
+// whatever order the prioritization pass picks, job j holds r_j racks for
+// L_j(r_j) seconds, and every rack's busy intervals are disjoint and start
+// no earlier than time 0, so makespan >= sum_j r_j * L_j(r_j) / R. Widening
+// one job changes one term, so the sum follows the chain in O(1) per step.
+//
+// Pruning must never drop a candidate whose computed makespan is strictly
+// below the incumbent, so the bound is shrunk by a relative margin kMargin
+// that covers the two ways floating point can break the real-number
+// argument (u = DBL_EPSILON / 2, the unit roundoff):
+//  * the pass computes completion = fl(start + L_j), which can fall short
+//    of start + L_j by u * completion <= u * makespan. A rack runs at most
+//    J jobs, so the computed makespan is >= (true volume / R) * (1 - J u);
+//    slack_per_sum_ * sum_ = DBL_EPSILON * J * sum_ covers that twice over;
+//  * the running sum itself drifts from the true volume: every product and
+//    addition rounds. error_ accumulates a rigorous bound on that drift
+//    (DBL_EPSILON, i.e. 2u, times each rounded result's magnitude).
+// kMargin = 1e-9 leaves half of itself for these two terms and the other
+// half for the final division and multiply. If the two terms ever exceed
+// kMargin / 2 of the sum — more than ~2 million jobs, or a chain long
+// enough to drift that far — the bound stops pruning rather than guess.
+// Negative or non-finite initial rack finish times void the argument, and
+// so does a negative or non-finite latency: pruning is then off for the
+// whole search, or from the step that first meets such a latency on.
+class RackTimeBound {
+ public:
+  static constexpr double kMargin = 1e-9;
+
+  RackTimeBound(const WideningChain& chain, std::size_t num_jobs,
+                int num_racks, const std::vector<Seconds>* initial_finish,
+                bool enabled)
+      : num_racks_(static_cast<double>(num_racks)),
+        slack_per_sum_(std::numeric_limits<double>::epsilon() *
+                       static_cast<double>(num_jobs)),
+        enabled_(enabled),
+        term_(num_jobs) {
+    if (initial_finish != nullptr) {
+      for (Seconds f : *initial_finish) {
+        if (!(std::isfinite(f) && f >= 0)) enabled_ = false;
+      }
+    }
+    for (std::size_t j = 0; j < num_jobs; ++j) {
+      term_[j] = chain.latency(j);  // r_j = 1
+      check(term_[j]);
+      sum_ += term_[j];
+    }
+    error_ = std::numeric_limits<double>::epsilon() *
+             static_cast<double>(num_jobs) * sum_;
+  }
+
+  // Job j was just widened to r racks with latency L_j(r).
+  void widen(std::size_t j, int r, Seconds latency) {
+    if (!enabled_) return;
+    check(latency);
+    const double term = static_cast<double>(r) * latency;
+    const double partial = sum_ - term_[j];
+    sum_ = partial + term;
+    term_[j] = term;
+    error_ += std::numeric_limits<double>::epsilon() *
+              (term + std::abs(partial) + std::abs(sum_));
+  }
+
+  // False only when the current candidate's makespan provably cannot be
+  // strictly below `incumbent`.
+  bool may_beat(double incumbent) const {
+    if (!enabled_) return true;
+    if (slack_per_sum_ * sum_ + error_ > 0.5 * kMargin * sum_) return true;
+    return sum_ / num_racks_ * (1.0 - kMargin) < incumbent;
+  }
+
+ private:
+  void check(Seconds latency) {
+    if (!(std::isfinite(latency) && latency >= 0)) enabled_ = false;
+  }
+
+  double num_racks_;
+  double slack_per_sum_;
+  bool enabled_;
+  std::vector<double> term_;  // r_j * L_j(r_j) as added to sum_
+  double sum_ = 0;
+  double error_ = 0;
+};
 
 // The provisioning phase (§4.2) over one window of jobs: starts every job
 // at one rack and repeatedly widens the currently-longest job, evaluating
-// every candidate allocation with the prioritization phase against the
-// given initial rack availability. Candidates are evaluated in parallel in
+// candidate allocations with the prioritization phase against the given
+// initial rack availability. Candidates are evaluated in parallel in
 // chain-order blocks and the argmin is reduced in step order (first minimum
 // wins), so the winner is byte-identical to the serial search at any pool
-// width. Returns the winning rack-count vector.
+// width.
+//
+// Under the makespan objective the search is an exact branch-and-bound:
+// a candidate whose rack-time bound (RackTimeBound) cannot beat the best
+// value found before its block is skipped without a prioritization pass.
+// Which candidates get skipped depends on the block size, hence on the pool
+// width, but a skipped candidate's value is never strictly below an earlier
+// one, so it can never be the first minimum: the winner is the same as an
+// exhaustive search. At trace level tasks every candidate is evaluated so
+// the decision log keeps one event per candidate. Returns the winning
+// rack-count vector.
 std::vector<int> provision(std::span<const ResponseFunction> jobs,
                            int num_racks, const PlannerConfig& config,
                            const std::vector<Seconds>* initial_finish,
                            exec::ThreadPool& pool, ScratchSlots& slots,
                            std::size_t* evaluated_candidates = nullptr) {
   const std::size_t J = jobs.size();
-  std::vector<int> racks(J, 1);
-  std::vector<int> best_racks = racks;
-
   const obs::TraceRecorder trace(config.tracer, config.trace_sink, "planner");
   const PlanClock clock(trace.wall_clock());
   const double trace_start = clock.at(0.0);
+  const bool trace_candidates = trace.at(obs::TraceLevel::kTasks);
 
   const auto evaluate = [&](std::span<const int> allocation,
                             Scratch& scratch) {
@@ -423,31 +546,46 @@ std::vector<int> provision(std::span<const ResponseFunction> jobs,
     return config.objective == Objective::kMakespan ? makespan : avg_flow;
   };
 
-  double best_value = evaluate(racks, slots[0]);
+  WideningChain chain(jobs, num_racks, config);
+  std::vector<int> best_racks = chain.racks();
+  double best_value = evaluate(best_racks, slots[0]);
   std::size_t best_step = 0;  // 0 = the all-ones starting allocation
-
-  const std::vector<int> chain = widening_chain(jobs, num_racks, config);
-  if (evaluated_candidates != nullptr) {
-    *evaluated_candidates += chain.size() + 1;
-  }
-  if (trace.at(obs::TraceLevel::kTasks)) {
+  if (trace_candidates) {
     trace.instant(obs::TraceTrack::kPlanner, "candidate", "planner", -1,
                   clock.at(0.0),
                   {obs::arg("step", 0.0), obs::arg("value", best_value)});
   }
+  RackTimeBound bound(chain, J, num_racks, initial_finish,
+                      config.objective == Objective::kMakespan &&
+                          !trace_candidates);
 
   // Blocked evaluation bounds the materialized candidate allocations to
   // `block * J` ints while keeping every worker busy within a block.
   const std::size_t block = std::max<std::size_t>(
       64, static_cast<std::size_t>(pool.threads()) * 16);
   std::vector<std::vector<int>> candidates;
+  std::vector<std::size_t> steps;   // chain step of each candidate
+  std::vector<int> widened;         // job widened at that step
   std::vector<double> values;
-  for (std::size_t begin = 0; begin < chain.size(); begin += block) {
-    const std::size_t end = std::min(begin + block, chain.size());
+  std::size_t chain_length = 0;
+  bool chain_done = false;
+  while (!chain_done) {
     candidates.clear();
-    for (std::size_t step = begin; step < end; ++step) {
-      ++racks[static_cast<std::size_t>(chain[step])];
-      candidates.push_back(racks);
+    steps.clear();
+    widened.clear();
+    while (candidates.size() < block) {
+      const int j = chain.next();
+      if (j < 0) {
+        chain_done = true;
+        break;
+      }
+      ++chain_length;
+      const auto sj = static_cast<std::size_t>(j);
+      bound.widen(sj, chain.racks()[sj], chain.latency(sj));
+      if (!bound.may_beat(best_value)) continue;
+      candidates.push_back(chain.racks());
+      steps.push_back(chain_length);
+      widened.push_back(j);
     }
     values.assign(candidates.size(), 0.0);
     exec::parallel_for_workers(
@@ -456,33 +594,35 @@ std::vector<int> provision(std::span<const ResponseFunction> jobs,
               evaluate(candidates[i], slots[static_cast<std::size_t>(worker)]);
         });
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const std::size_t step = begin + i + 1;
       // Per-candidate log entries are recorded here — after the parallel
       // block, on the calling thread, in step order — never from the
       // workers, so the log is byte-identical at any pool width.
-      if (trace.at(obs::TraceLevel::kTasks)) {
-        const auto widened = static_cast<std::size_t>(chain[step - 1]);
+      if (trace_candidates) {
+        const auto sj = static_cast<std::size_t>(widened[i]);
         trace.instant(obs::TraceTrack::kPlanner, "candidate", "planner",
-                      chain[step - 1], clock.at(static_cast<double>(step)),
-                      {obs::arg("step", static_cast<double>(step)),
-                       obs::arg("widened_job", static_cast<double>(widened)),
+                      widened[i], clock.at(static_cast<double>(steps[i])),
+                      {obs::arg("step", static_cast<double>(steps[i])),
+                       obs::arg("widened_job", static_cast<double>(sj)),
                        obs::arg("widened_to",
-                                static_cast<double>(candidates[i][widened])),
+                                static_cast<double>(candidates[i][sj])),
                        obs::arg("value", values[i])});
       }
       if (values[i] < best_value) {
         best_value = values[i];
-        best_step = step;
+        best_step = steps[i];
         best_racks = std::move(candidates[i]);
       }
     }
   }
+  if (evaluated_candidates != nullptr) {
+    *evaluated_candidates += chain_length + 1;
+  }
   if (trace.at(obs::TraceLevel::kJobs)) {
     trace.span(
         obs::TraceTrack::kPlanner, "provision", "planner", 0, trace_start,
-        clock.at(static_cast<double>(chain.size() + 1)),
+        clock.at(static_cast<double>(chain_length + 1)),
         {obs::arg("jobs", static_cast<double>(J)),
-         obs::arg("candidates", static_cast<double>(chain.size() + 1)),
+         obs::arg("candidates", static_cast<double>(chain_length + 1)),
          obs::arg("best_step", static_cast<double>(best_step)),
          obs::arg("best_value", best_value),
          obs::arg("objective", config.objective == Objective::kMakespan

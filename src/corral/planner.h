@@ -10,7 +10,9 @@
 //  * Provisioning phase — start every job at one rack and repeatedly widen
 //    the currently-longest job by one rack, evaluating each of the J*R
 //    candidate allocations with the prioritization phase and keeping the
-//    best.
+//    best. Under the makespan objective a candidate whose rack-time lower
+//    bound cannot beat the best so far is skipped; the result is the same
+//    plan (docs/planners.md "Bound-and-prune provisioning").
 //  * Prioritization phase — an extension of LPT to multi-rack (malleable)
 //    jobs: widest-job first, ties broken by processing time (Figure 4).
 #ifndef CORRAL_CORRAL_PLANNER_H_
@@ -99,11 +101,14 @@ struct Plan {
   std::vector<PlannedJob> jobs;  // same order as the planner's input
   Seconds predicted_makespan = 0;
   Seconds predicted_avg_completion = 0;  // mean of (completion - arrival)
-  // Candidate allocations the provisioning search evaluated to produce this
-  // plan (the J*R chain plus the all-ones start; summed over windows for
-  // plan_rolling). A deterministic, width-independent measure of replan
-  // cost, used by the control plane as its "replan latency" metric — wall
-  // time would break the byte-identical-across-threads contract.
+  // Candidate allocations the provisioning search considered to produce
+  // this plan, pruned ones included: the J*R chain plus the all-ones start
+  // (summed over windows for plan_rolling). The bound-and-prune search
+  // skips most of them without a prioritization pass, and which ones it
+  // skips depends on the pool width, so the count deliberately ignores
+  // pruning. A deterministic, width-independent measure of replan cost,
+  // used by the control plane as its "replan latency" metric — wall time
+  // would break the byte-identical-across-threads contract.
   std::size_t evaluated_candidates = 0;
 
   double objective_value(Objective objective) const {

@@ -245,6 +245,13 @@ struct SimCase {
   bool writes;
 };
 
+// Without a printer gtest shows a SimCase as its raw bytes, the name
+// pointer included; under ASLR that changes from build to build, and so
+// does the ctest name gtest_discover_tests derives from it.
+void PrintTo(const SimCase& param, std::ostream* os) {
+  *os << param.name << " seed " << param.seed;
+}
+
 class SimProperty : public ::testing::TestWithParam<SimCase> {};
 
 TEST_P(SimProperty, ConservationInvariants) {
