@@ -49,7 +49,7 @@ int main() {
 
   for (Combo& combo : combos) {
     SimConfig config = sim;
-    config.use_varys = combo.varys;
+    config.net_policy = combo.varys ? NetPolicy::kVarys : NetPolicy::kTcp;
     SimResult result;
     if (combo.corral) {
       CorralPolicy policy(&planned.lookup);

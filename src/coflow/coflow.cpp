@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <limits>
 #include <string>
 #include <utility>
 
@@ -27,42 +26,33 @@ struct CoflowDemands {
   std::vector<std::vector<std::pair<int, double>>> demand;
 };
 
-CoflowDemands gather_demands(const std::vector<Flow>& flows,
-                             const LinkSet& links) {
+// The demands of the real coflows grouped in `scratch`, whose groups must
+// still be in build_coflow_groups' order (real coflows by ascending key).
+// A group's bytes on a link are the sum of its flows' remaining bytes in
+// row order, so they, and Γ, do not depend on how the flows are stored.
+CoflowDemands gather_demands(const FillScratch& scratch) {
   CoflowDemands out;
-  for (const Flow& flow : flows) {
-    if (flow.coflow >= 0) out.keys.push_back(flow.coflow);
-  }
-  std::sort(out.keys.begin(), out.keys.end());
-  out.keys.erase(std::unique(out.keys.begin(), out.keys.end()),
-                 out.keys.end());
-  out.gamma.assign(out.keys.size(), 0.0);
-  out.demand.resize(out.keys.size());
-
-  std::vector<double> load(static_cast<std::size_t>(links.count()), 0.0);
-  std::vector<int> touched;
-  for (std::size_t k = 0; k < out.keys.size(); ++k) {
-    const long key = out.keys[k];
-    for (const Flow& flow : flows) {
-      if (flow.coflow != key) continue;
-      for (int p = 0; p < flow.path.count; ++p) {
-        const int l = flow.path.links[static_cast<std::size_t>(p)];
-        if (load[static_cast<std::size_t>(l)] == 0.0) touched.push_back(l);
-        load[static_cast<std::size_t>(l)] += flow.remaining;
-      }
+  for (const GroupRef& group : scratch.groups) {
+    if (group.key < 0) continue;
+    out.keys.push_back(group.key);
+    out.gamma.push_back(group.gamma);
+    auto& row = out.demand.emplace_back();
+    const auto begin = static_cast<std::size_t>(group.load_begin);
+    const auto end = begin + static_cast<std::size_t>(group.load_count);
+    for (std::size_t i = begin; i < end; ++i) {
+      const net_detail::LinkLoad& load = scratch.group_loads[i];
+      if (load.bytes > 0.0) row.emplace_back(load.link, load.bytes);
     }
-    std::sort(touched.begin(), touched.end());
-    for (int l : touched) {
-      const double bytes = load[static_cast<std::size_t>(l)];
-      if (bytes > 0.0) {
-        out.demand[k].emplace_back(l, bytes);
-        out.gamma[k] = std::max(out.gamma[k], bytes / links.capacity(l));
-      }
-      load[static_cast<std::size_t>(l)] = 0.0;
-    }
-    touched.clear();
+    std::sort(row.begin(), row.end());
   }
   return out;
+}
+
+CoflowDemands demands_of(const std::vector<Flow>& flows,
+                         const LinkSet& links) {
+  FillScratch scratch;
+  net_detail::build_coflow_groups(FlowTable::of(flows), scratch, links);
+  return gather_demands(scratch);
 }
 
 // SEBF fallback order: ascending (Γ, key). Used when the LP does not reach
@@ -250,50 +240,56 @@ std::vector<long> bssi_order(const CoflowDemands& demands) {
 // stays deterministic regardless of which pool worker runs it.
 class OrderedCoflowAllocator : public RateAllocator {
  public:
-  void allocate(std::vector<Flow>& flows, const LinkSet& links) override {
+  using RateAllocator::allocate;
+  void allocate(FlowTable& flows, const LinkSet& links) override {
     if (flows.empty()) return;
     FillScratch& scratch = net_detail::thread_scratch();
-    scratch.load_flows(flows);
-    net_detail::build_coflow_groups(scratch, flows, links);
+    std::fill(flows.rate.begin(), flows.rate.end(), 0.0);
+    net_detail::build_coflow_groups(flows, scratch, links);
 
-    // Live real coflow keys, ascending (groups are already key-sorted).
+    // Live real coflow keys, ascending: the groups after the singletons.
+    const auto first_real = static_cast<std::size_t>(
+        std::find_if(scratch.groups.begin(), scratch.groups.end(),
+                     [](const GroupRef& group) { return group.key >= 0; }) -
+        scratch.groups.begin());
     live_keys_.clear();
-    for (const GroupRef& group : scratch.groups) {
-      if (group.key >= 0) live_keys_.push_back(group.key);
+    for (std::size_t g = first_real; g < scratch.groups.size(); ++g) {
+      live_keys_.push_back(scratch.groups[g].key);
     }
     if (live_keys_ != cached_keys_) {
-      cached_order_ = compute_order(flows, links);
+      cached_order_ = compute_order(gather_demands(scratch), links);
       cached_keys_ = live_keys_;
       ++order_refreshes_;
       ensure(cached_order_.size() == cached_keys_.size(),
              "coflow: ordering lost or duplicated a coflow");
+      // rank_[i]: priority position of cached_keys_[i].
+      rank_.assign(cached_keys_.size(), -1);
+      for (std::size_t p = 0; p < cached_order_.size(); ++p) {
+        const auto it = std::lower_bound(cached_keys_.begin(),
+                                         cached_keys_.end(), cached_order_[p]);
+        const auto i = static_cast<std::size_t>(it - cached_keys_.begin());
+        ensure(it != cached_keys_.end() && *it == cached_order_[p] &&
+                   rank_[i] < 0,
+               "coflow: live coflow missing from cached order");
+        rank_[i] = static_cast<int>(p);
+      }
     }
 
-    // Priority rank per key (rank lookup by binary search over the sorted
-    // (key, rank) pairs).
-    rank_.clear();
-    for (std::size_t i = 0; i < cached_order_.size(); ++i) {
-      rank_.emplace_back(cached_order_[i], static_cast<long>(i));
-    }
-    std::sort(rank_.begin(), rank_.end());
-    const auto rank_of = [this](long key) {
-      const auto it = std::lower_bound(
-          rank_.begin(), rank_.end(), std::make_pair(key, std::numeric_limits<long>::min()));
-      ensure(it != rank_.end() && it->first == key,
-             "coflow: live coflow missing from cached order");
-      return it->second;
-    };
     // Real coflows first, in cached priority order; stray singletons ride
     // behind in SEBF (Γ, key) order.
-    std::sort(scratch.groups.begin(), scratch.groups.end(),
-              [&](const GroupRef& a, const GroupRef& b) {
-                const bool real_a = a.key >= 0;
-                const bool real_b = b.key >= 0;
-                if (real_a != real_b) return real_a;
-                if (real_a) return rank_of(a.key) < rank_of(b.key);
-                return a.gamma != b.gamma ? a.gamma < b.gamma
-                                          : a.key < b.key;
+    ordered_.resize(scratch.groups.size());
+    for (std::size_t i = 0; i < rank_.size(); ++i) {
+      ordered_[static_cast<std::size_t>(rank_[i])] =
+          scratch.groups[first_real + i];
+    }
+    const auto strays =
+        ordered_.begin() + static_cast<std::ptrdiff_t>(rank_.size());
+    std::copy_n(scratch.groups.begin(), first_real, strays);
+    std::sort(strays, ordered_.end(),
+              [](const GroupRef& a, const GroupRef& b) {
+                return a.gamma != b.gamma ? a.gamma < b.gamma : a.key < b.key;
               });
+    scratch.groups.swap(ordered_);
 
     if (trace_.at(obs::TraceLevel::kFlows)) {
       trace_.counter(obs::TraceTrack::kNet,
@@ -304,21 +300,21 @@ class OrderedCoflowAllocator : public RateAllocator {
                      static_cast<double>(live_keys_.size()));
     }
 
-    net_detail::madd_in_group_order(scratch, links);
-    net_detail::progressive_fill(scratch,
+    net_detail::madd_in_group_order(flows, scratch, links);
+    net_detail::progressive_fill(flows, scratch,
                                  static_cast<std::size_t>(links.count()));
-    scratch.store_rates(flows);
   }
 
  protected:
-  virtual std::vector<long> compute_order(const std::vector<Flow>& flows,
+  virtual std::vector<long> compute_order(const CoflowDemands& demands,
                                           const LinkSet& links) = 0;
 
  private:
   std::vector<long> live_keys_;
   std::vector<long> cached_keys_;
   std::vector<long> cached_order_;
-  std::vector<std::pair<long, long>> rank_;
+  std::vector<int> rank_;
+  std::vector<GroupRef> ordered_;
   std::uint64_t order_refreshes_ = 0;
 };
 
@@ -327,9 +323,9 @@ class LpOrderAllocator : public OrderedCoflowAllocator {
   std::string_view name() const override { return "lp-order"; }
 
  protected:
-  std::vector<long> compute_order(const std::vector<Flow>& flows,
+  std::vector<long> compute_order(const CoflowDemands& demands,
                                   const LinkSet& links) override {
-    return lp_order_keys(flows, links);
+    return lp_order(demands, links);
   }
 };
 
@@ -338,9 +334,9 @@ class SincroniaAllocator : public OrderedCoflowAllocator {
   std::string_view name() const override { return "sincronia"; }
 
  protected:
-  std::vector<long> compute_order(const std::vector<Flow>& flows,
-                                  const LinkSet& links) override {
-    return sincronia_order_keys(flows, links);
+  std::vector<long> compute_order(const CoflowDemands& demands,
+                                  const LinkSet& /*links*/) override {
+    return bssi_order(demands);
   }
 };
 
@@ -363,17 +359,17 @@ std::unique_ptr<RateAllocator> make_allocator(NetPolicy policy) {
 
 std::vector<long> lp_order_keys(const std::vector<Flow>& flows,
                                 const LinkSet& links) {
-  return lp_order(gather_demands(flows, links), links);
+  return lp_order(demands_of(flows, links), links);
 }
 
 std::vector<long> sincronia_order_keys(const std::vector<Flow>& flows,
                                        const LinkSet& links) {
-  return bssi_order(gather_demands(flows, links));
+  return bssi_order(demands_of(flows, links));
 }
 
 double permutation_cct(const std::vector<Flow>& flows, const LinkSet& links,
                        const std::vector<long>& order) {
-  const CoflowDemands demands = gather_demands(flows, links);
+  const CoflowDemands demands = demands_of(flows, links);
   require(order.size() == demands.keys.size(),
           "permutation_cct: order must list every coflow exactly once");
   std::vector<double> elapsed(static_cast<std::size_t>(links.count()), 0.0);

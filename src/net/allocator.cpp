@@ -53,15 +53,69 @@ void FlowPath::add(int link) {
   links[static_cast<std::size_t>(count++)] = link;
 }
 
-void MaxMinFairAllocator::allocate(std::vector<Flow>& flows,
-                                   const LinkSet& links) {
+void FlowTable::push_back(const Flow& flow) {
+  ensure(flow.path.count > 0, "allocator: flow with empty path");
+  id.push_back(flow.id);
+  tag.push_back(flow.tag);
+  coflow.push_back(flow.coflow);
+  total.push_back(flow.total);
+  remaining.push_back(flow.remaining);
+  width.push_back(flow.width);
+  rate.push_back(flow.rate);
+  cross_rack.push_back(flow.cross_rack ? 1 : 0);
+  path_links.insert(path_links.end(), flow.path.links.begin(),
+                    flow.path.links.end());
+  path_count.push_back(flow.path.count);
+}
+
+Flow FlowTable::row(std::size_t f) const {
+  Flow flow;
+  flow.id = id[f];
+  flow.tag = tag[f];
+  flow.coflow = coflow[f];
+  flow.total = total[f];
+  flow.remaining = remaining[f];
+  flow.width = width[f];
+  flow.rate = rate[f];
+  flow.cross_rack = cross_rack[f] != 0;
+  std::copy_n(path(f), kMaxPathLinks, flow.path.links.begin());
+  flow.path.count = path_count[f];
+  return flow;
+}
+
+void FlowTable::resize(std::size_t n) {
+  id.resize(n);
+  tag.resize(n);
+  coflow.resize(n);
+  total.resize(n);
+  remaining.resize(n);
+  width.resize(n);
+  rate.resize(n);
+  cross_rack.resize(n);
+  path_links.resize(n * kMaxPathLinks);
+  path_count.resize(n);
+}
+
+FlowTable FlowTable::of(const std::vector<Flow>& flows) {
+  FlowTable table;
+  for (const Flow& flow : flows) table.push_back(flow);
+  return table;
+}
+
+void RateAllocator::allocate(std::vector<Flow>& flows, const LinkSet& links) {
+  FlowTable table = FlowTable::of(flows);
+  allocate(table, links);
+  for (std::size_t f = 0; f < flows.size(); ++f) flows[f].rate = table.rate[f];
+}
+
+void MaxMinFairAllocator::allocate(FlowTable& flows, const LinkSet& links) {
   if (flows.empty()) return;
   FillScratch& scratch = thread_scratch();
-  scratch.load_flows(flows);
+  std::fill(flows.rate.begin(), flows.rate.end(), 0.0);
   const std::vector<double>& capacities = links.capacities();
   scratch.residual.assign(capacities.begin(), capacities.end());
-  const int rounds = net_detail::progressive_fill(scratch, capacities.size());
-  scratch.store_rates(flows);
+  const int rounds =
+      net_detail::progressive_fill(flows, scratch, capacities.size());
   if (trace_.at(obs::TraceLevel::kFlows)) {
     trace_.counter(obs::TraceTrack::kNet, "maxmin.fill_rounds", 0, trace_now(),
                    rounds);
@@ -70,13 +124,11 @@ void MaxMinFairAllocator::allocate(std::vector<Flow>& flows,
   }
 }
 
-void VarysAllocator::allocate(std::vector<Flow>& flows,
-                              const LinkSet& links) {
+void VarysAllocator::allocate(FlowTable& flows, const LinkSet& links) {
   if (flows.empty()) return;
-  const auto L = static_cast<std::size_t>(links.count());
   FillScratch& scratch = thread_scratch();
-  scratch.load_flows(flows);
-  net_detail::build_coflow_groups(scratch, flows, links);
+  std::fill(flows.rate.begin(), flows.rate.end(), 0.0);
+  net_detail::build_coflow_groups(flows, scratch, links);
 
   // Smallest effective bottleneck first; ties broken by coflow key so the
   // ordering (and the reorder trace below) is stable.
@@ -119,9 +171,9 @@ void VarysAllocator::allocate(std::vector<Flow>& flows,
 
   // MADD in SEBF order, then work conservation: distribute leftover capacity
   // max-min across all flows on top of the MADD rates.
-  net_detail::madd_in_group_order(scratch, links);
-  net_detail::progressive_fill(scratch, L);
-  scratch.store_rates(flows);
+  net_detail::madd_in_group_order(flows, scratch, links);
+  net_detail::progressive_fill(flows, scratch,
+                               static_cast<std::size_t>(links.count()));
 }
 
 }  // namespace corral

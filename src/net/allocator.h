@@ -8,6 +8,8 @@
 #define CORRAL_NET_ALLOCATOR_H_
 
 #include <array>
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,8 +41,11 @@ bool parse_net_policy(std::string_view text, NetPolicy* policy);
 // The valid flag spellings, in enum order (for FlagParser::add_choice).
 const std::vector<std::string>& net_policy_names();
 
+// Most links a flow path can cross: host_up, rack_up, rack_down, host_down.
+constexpr int kMaxPathLinks = 4;
+
 struct FlowPath {
-  std::array<int, 4> links{};
+  std::array<int, kMaxPathLinks> links{};
   int count = 0;
 
   void add(int link);
@@ -63,14 +68,84 @@ struct Flow {
   BytesPerSec rate = 0;  // output of the allocator
 };
 
+// A flow set in structure-of-arrays form: one column per Flow field, one
+// row per flow. Network keeps its active flows here, in ascending id order,
+// and the rate allocators read and write the table in place, so their inner
+// loops walk dense arrays and no flow is copied per allocation.
+struct FlowTable {
+  std::vector<int> id;
+  std::vector<std::uint64_t> tag;
+  std::vector<int> coflow;
+  std::vector<Bytes> total;
+  std::vector<Bytes> remaining;
+  std::vector<double> width;
+  std::vector<BytesPerSec> rate;
+  std::vector<char> cross_rack;
+  std::vector<int> path_links;  // kMaxPathLinks entries per row
+  std::vector<int> path_count;
+
+  std::size_t size() const { return id.size(); }
+  bool empty() const { return id.empty(); }
+  const int* path(std::size_t f) const {
+    return path_links.data() + f * kMaxPathLinks;
+  }
+
+  // A table with one row per element of `flows`, in order.
+  static FlowTable of(const std::vector<Flow>& flows);
+
+  // Appends `flow` as the last row. Its path must not be empty.
+  void push_back(const Flow& flow);
+  // Row `f` as a Flow value.
+  Flow row(std::size_t f) const;
+
+  // Stable compaction: calls keep(f) once per row, in ascending order, and
+  // drops the rows for which it returns false; the others keep their
+  // relative order.
+  template <typename Keep>
+  void retain_if(Keep keep) {
+    const std::size_t n = size();
+    std::size_t kept = 0;
+    for (std::size_t f = 0; f < n; ++f) {
+      if (!keep(f)) continue;
+      if (kept != f) move_row(f, kept);
+      ++kept;
+    }
+    if (kept != n) resize(kept);
+  }
+
+ private:
+  // Inline: runs for every surviving row after the first dropped one, on
+  // every completion batch.
+  void move_row(std::size_t from, std::size_t to) {
+    id[to] = id[from];
+    tag[to] = tag[from];
+    coflow[to] = coflow[from];
+    total[to] = total[from];
+    remaining[to] = remaining[from];
+    width[to] = width[from];
+    rate[to] = rate[from];
+    cross_rack[to] = cross_rack[from];
+    for (std::size_t i = 0; i < kMaxPathLinks; ++i) {
+      path_links[to * kMaxPathLinks + i] = path_links[from * kMaxPathLinks + i];
+    }
+    path_count[to] = path_count[from];
+  }
+  void resize(std::size_t n);
+};
+
 class RateAllocator {
  public:
   virtual ~RateAllocator() = default;
 
-  // Assigns Flow::rate for every flow, respecting link capacities. Flows
-  // are guaranteed a positive rate (the policies are work conserving), so
-  // the simulation always makes progress.
-  virtual void allocate(std::vector<Flow>& flows, const LinkSet& links) = 0;
+  // Assigns the rate column for every row, respecting link capacities.
+  // Flows are guaranteed a positive rate (the policies are work conserving),
+  // so the simulation always makes progress.
+  virtual void allocate(FlowTable& flows, const LinkSet& links) = 0;
+
+  // The same allocation for a vector of Flow values (tests and one-off
+  // callers): runs allocate() on a table built from `flows` and writes each
+  // Flow::rate back.
+  void allocate(std::vector<Flow>& flows, const LinkSet& links);
 
   virtual std::string_view name() const = 0;
 
@@ -93,7 +168,8 @@ class RateAllocator {
 // for per-connection TCP fairness.
 class MaxMinFairAllocator : public RateAllocator {
  public:
-  void allocate(std::vector<Flow>& flows, const LinkSet& links) override;
+  using RateAllocator::allocate;
+  void allocate(FlowTable& flows, const LinkSet& links) override;
   std::string_view name() const override { return "tcp-maxmin"; }
 };
 
@@ -103,7 +179,8 @@ class MaxMinFairAllocator : public RateAllocator {
 // conservation.
 class VarysAllocator : public RateAllocator {
  public:
-  void allocate(std::vector<Flow>& flows, const LinkSet& links) override;
+  using RateAllocator::allocate;
+  void allocate(FlowTable& flows, const LinkSet& links) override;
   std::string_view name() const override { return "varys"; }
 
  private:

@@ -6,54 +6,52 @@
 
 namespace corral::net_detail {
 
-void FillScratch::load_flows(const std::vector<Flow>& flows) {
-  const std::size_t n = flows.size();
-  width.resize(n);
-  remaining.resize(n);
-  rate.resize(n);
-  path_count.resize(n);
-  path_links.resize(n * kMaxPathLinks);
-  for (std::size_t f = 0; f < n; ++f) {
-    const Flow& flow = flows[f];
-    ensure(flow.path.count > 0, "allocator: flow with empty path");
-    width[f] = flow.width;
-    remaining[f] = flow.remaining;
-    rate[f] = 0.0;
-    path_count[f] = flow.path.count;
-    for (int i = 0; i < flow.path.count; ++i) {
-      path_links[f * kMaxPathLinks + static_cast<std::size_t>(i)] =
-          flow.path.links[i];
-    }
+namespace {
+
+// Grows a per-link array to `n` entries; new entries are zero, which is the
+// between-pass state every per-link array keeps (see FillScratch).
+template <typename T>
+void grow_to(std::vector<T>& values, std::size_t n) {
+  if (values.size() < n) values.resize(n, T{});
+}
+
+// Zeroes the load and marker of every touched link and empties the list.
+void clear_touched(FillScratch& scratch) {
+  for (int l : scratch.touched) {
+    scratch.load[static_cast<std::size_t>(l)] = 0.0;
+    scratch.touched_mark[static_cast<std::size_t>(l)] = 0;
   }
+  scratch.touched.clear();
 }
 
-void FillScratch::store_rates(std::vector<Flow>& flows) const {
-  for (std::size_t f = 0; f < flows.size(); ++f) flows[f].rate = rate[f];
-}
+}  // namespace
 
-int progressive_fill(FillScratch& scratch, std::size_t num_links) {
-  const std::size_t num_flows = scratch.width.size();
+int progressive_fill(FlowTable& flows, FillScratch& scratch,
+                     std::size_t num_links) {
+  const std::size_t num_flows = flows.size();
   ensure(scratch.residual.size() == num_links,
          "progressive_fill: residual/link count mismatch");
-  scratch.width_on_link.assign(num_links, 0.0);
-  scratch.active_links.clear();
-  scratch.frozen.assign(num_flows, 0);
-  if (scratch.link_start.size() < num_links) {
-    scratch.link_start.resize(num_links);
-    scratch.link_end.resize(num_links);
+  // Zero what the previous pass left behind, link by link.
+  for (int l : scratch.active_links) {
+    scratch.width_on_link[static_cast<std::size_t>(l)] = 0.0;
   }
+  scratch.active_links.clear();
+  grow_to(scratch.width_on_link, num_links);
+  grow_to(scratch.link_start, num_links);
+  grow_to(scratch.link_end, num_links);
+  scratch.frozen.assign(num_flows, 0);
 
   // Pass 1: per-link widths and flow counts (first touch registers the
   // link; counts accumulate in link_end until the prefix sum below).
   for (std::size_t f = 0; f < num_flows; ++f) {
-    for (int i = 0; i < scratch.path_count[f]; ++i) {
-      const auto link = static_cast<std::size_t>(
-          scratch.path_links[f * kMaxPathLinks + static_cast<std::size_t>(i)]);
+    const int* path = flows.path(f);
+    for (int i = 0; i < flows.path_count[f]; ++i) {
+      const auto link = static_cast<std::size_t>(path[i]);
       if (scratch.width_on_link[link] == 0.0) {
-        scratch.active_links.push_back(static_cast<int>(link));
+        scratch.active_links.push_back(path[i]);
         scratch.link_end[link] = 0;
       }
-      scratch.width_on_link[link] += scratch.width[f];
+      scratch.width_on_link[link] += flows.width[f];
       ++scratch.link_end[link];
     }
   }
@@ -68,9 +66,9 @@ int progressive_fill(FillScratch& scratch, std::size_t num_links) {
   }
   scratch.link_flows.resize(static_cast<std::size_t>(total));
   for (std::size_t f = 0; f < num_flows; ++f) {
-    for (int i = 0; i < scratch.path_count[f]; ++i) {
-      const auto link = static_cast<std::size_t>(
-          scratch.path_links[f * kMaxPathLinks + static_cast<std::size_t>(i)]);
+    const int* path = flows.path(f);
+    for (int i = 0; i < flows.path_count[f]; ++i) {
+      const auto link = static_cast<std::size_t>(path[i]);
       scratch.link_flows[static_cast<std::size_t>(scratch.link_end[link]++)] =
           static_cast<int>(f);
     }
@@ -82,14 +80,21 @@ int progressive_fill(FillScratch& scratch, std::size_t num_links) {
   constexpr double kWidthEps = 1e-9;
   std::size_t remaining_flows = num_flows;
   int rounds = 0;
+  scratch.scan_links.assign(scratch.active_links.begin(),
+                            scratch.active_links.end());
   while (remaining_flows > 0) {
     ++rounds;
-    // Bottleneck link: smallest per-width share among links carrying load.
+    // Bottleneck link: smallest per-width share among links carrying load
+    // (the first such link in first-touch order on a tie). Widths only
+    // shrink, so a link that falls to kWidthEps stays out for the rest of
+    // the pass; the scan list drops it, keeping the others in order.
     int bottleneck = -1;
     double best_share = kInf;
-    for (int l : scratch.active_links) {
+    std::size_t live = 0;
+    for (int l : scratch.scan_links) {
       const auto sl = static_cast<std::size_t>(l);
       if (scratch.width_on_link[sl] <= kWidthEps) continue;
+      scratch.scan_links[live++] = l;
       const double share =
           std::max(scratch.residual[sl], 0.0) / scratch.width_on_link[sl];
       if (share < best_share) {
@@ -97,6 +102,7 @@ int progressive_fill(FillScratch& scratch, std::size_t num_links) {
         bottleneck = l;
       }
     }
+    scratch.scan_links.resize(live);
     ensure(bottleneck >= 0, "progressive_fill: active flows but no link");
 
     std::size_t frozen_now = 0;
@@ -108,15 +114,14 @@ int progressive_fill(FillScratch& scratch, std::size_t num_links) {
       scratch.frozen[f] = 1;
       --remaining_flows;
       ++frozen_now;
-      const double flow_rate = best_share * scratch.width[f];
-      scratch.rate[f] += flow_rate;
-      for (int i = 0; i < scratch.path_count[f]; ++i) {
-        const auto link = static_cast<std::size_t>(
-            scratch
-                .path_links[f * kMaxPathLinks + static_cast<std::size_t>(i)]);
+      const double flow_rate = best_share * flows.width[f];
+      flows.rate[f] += flow_rate;
+      const int* path = flows.path(f);
+      for (int i = 0; i < flows.path_count[f]; ++i) {
+        const auto link = static_cast<std::size_t>(path[i]);
         scratch.residual[link] =
             std::max(scratch.residual[link] - flow_rate, 0.0);
-        scratch.width_on_link[link] -= scratch.width[f];
+        scratch.width_on_link[link] -= flows.width[f];
       }
     }
     if (frozen_now == 0) {
@@ -127,109 +132,164 @@ int progressive_fill(FillScratch& scratch, std::size_t num_links) {
   return rounds;
 }
 
-void build_coflow_groups(FillScratch& scratch, const std::vector<Flow>& flows,
+void build_coflow_groups(const FlowTable& flows, FillScratch& scratch,
                          const LinkSet& links) {
-  const auto L = static_cast<std::size_t>(links.count());
+  const std::size_t n = flows.size();
+  const std::vector<double>& capacity = links.capacities();
+  clear_touched(scratch);
+  grow_to(scratch.load, capacity.size());
+  grow_to(scratch.touched_mark, capacity.size());
 
-  // Group flows into coflows (flows without a coflow are singletons) by
-  // sorting (key, flow) pairs: contiguous runs are the groups and flow ids
-  // within a run stay ascending, matching the old per-key insertion order.
-  scratch.group_flows.clear();
-  scratch.group_flows.reserve(flows.size());
-  for (std::size_t f = 0; f < flows.size(); ++f) {
-    const long key = flows[f].coflow >= 0
-                         ? static_cast<long>(flows[f].coflow)
-                         : -static_cast<long>(f) - 1;
-    scratch.group_flows.emplace_back(key, static_cast<int>(f));
-  }
-  std::sort(scratch.group_flows.begin(), scratch.group_flows.end());
-
-  // Effective bottleneck Γ of each coflow at full link capacity. Links are
-  // registered in `touched` once via the dedup marker (a zero-remaining
-  // flow leaves load[l] at 0.0, which used to re-push the link every time).
-  scratch.groups.clear();
-  scratch.load.assign(L, 0.0);
-  scratch.touched_mark.assign(L, 0);
-  scratch.touched.clear();
-  for (std::size_t i = 0; i < scratch.group_flows.size();) {
-    const long key = scratch.group_flows[i].first;
-    std::size_t j = i;
-    double gamma = 0;
-    for (; j < scratch.group_flows.size() &&
-           scratch.group_flows[j].first == key;
-         ++j) {
-      const auto f = static_cast<std::size_t>(scratch.group_flows[j].second);
-      for (int p = 0; p < scratch.path_count[f]; ++p) {
-        const int l =
-            scratch.path_links[f * kMaxPathLinks + static_cast<std::size_t>(p)];
-        const auto sl = static_cast<std::size_t>(l);
-        if (!scratch.touched_mark[sl]) {
-          scratch.touched_mark[sl] = 1;
-          scratch.touched.push_back(l);
-        }
-        scratch.load[sl] += scratch.remaining[f];
-        gamma = std::max(gamma, scratch.load[sl] / links.capacity(l));
+  // Pass 1: give each distinct real coflow a slot (first-seen order) and
+  // count its flows. Rows of one coflow tend to be adjacent, so the map is
+  // consulted only when the key changes.
+  scratch.keys.clear();
+  scratch.key_count.clear();
+  scratch.flow_slot.resize(n);
+  int singletons = 0;
+  int last_coflow = -1;
+  int last_slot = -1;
+  for (std::size_t f = 0; f < n; ++f) {
+    const int coflow = flows.coflow[f];
+    if (coflow < 0) {
+      ++singletons;
+      scratch.flow_slot[f] = -1;
+      continue;
+    }
+    if (coflow != last_coflow) {
+      int& slot = scratch.slot_of_key[static_cast<std::uint64_t>(coflow) + 1];
+      if (slot == 0) {
+        scratch.keys.push_back(coflow);
+        scratch.key_count.push_back(0);
+        slot = static_cast<int>(scratch.keys.size());
       }
+      last_coflow = coflow;
+      last_slot = slot - 1;
     }
-    for (int l : scratch.touched) {
-      scratch.load[static_cast<std::size_t>(l)] = 0.0;
-      scratch.touched_mark[static_cast<std::size_t>(l)] = 0;
-    }
-    scratch.touched.clear();
-    scratch.groups.push_back(GroupRef{key, static_cast<int>(i),
-                                      static_cast<int>(j - i), gamma});
-    i = j;
+    scratch.flow_slot[f] = last_slot;
+    ++scratch.key_count[static_cast<std::size_t>(last_slot)];
   }
-}
+  for (long key : scratch.keys) {
+    scratch.slot_of_key.erase(static_cast<std::uint64_t>(key) + 1);
+  }
 
-void madd_in_group_order(FillScratch& scratch, const LinkSet& links) {
-  const std::vector<double>& capacities = links.capacities();
-  scratch.residual.assign(capacities.begin(), capacities.end());
-  for (const GroupRef& group : scratch.groups) {
-    // Rescaled completion time on what is left of the fabric.
-    double gamma = 0;
-    bool starved = false;
+  // Group layout: singletons first, then the real coflows by ascending key.
+  // key_count turns into each slot's next write position.
+  const std::size_t num_keys = scratch.keys.size();
+  scratch.key_order.resize(num_keys);
+  for (std::size_t k = 0; k < num_keys; ++k) {
+    scratch.key_order[k] = static_cast<int>(k);
+  }
+  std::sort(scratch.key_order.begin(), scratch.key_order.end(),
+            [&](int a, int b) {
+              return scratch.keys[static_cast<std::size_t>(a)] <
+                     scratch.keys[static_cast<std::size_t>(b)];
+            });
+  scratch.groups.clear();
+  scratch.groups.reserve(static_cast<std::size_t>(singletons) + num_keys);
+  for (int i = 0; i < singletons; ++i) scratch.groups.push_back({0, i, 1});
+  int next = singletons;
+  for (int slot : scratch.key_order) {
+    const auto sk = static_cast<std::size_t>(slot);
+    const int count = scratch.key_count[sk];
+    scratch.groups.push_back({scratch.keys[sk], next, count});
+    scratch.key_count[sk] = next;
+    next += count;
+  }
+
+  // Pass 2: place the rows. Singletons fill [0, singletons) from the back,
+  // so they come out in descending row order, exactly the order of their
+  // -(row)-1 keys.
+  scratch.group_flows.resize(n);
+  int singleton_pos = singletons;
+  for (std::size_t f = 0; f < n; ++f) {
+    const int slot = scratch.flow_slot[f];
+    if (slot < 0) {
+      --singleton_pos;
+      scratch.group_flows[static_cast<std::size_t>(singleton_pos)] =
+          static_cast<int>(f);
+      scratch.groups[static_cast<std::size_t>(singleton_pos)].key =
+          -static_cast<long>(f) - 1;
+    } else {
+      scratch.group_flows[static_cast<std::size_t>(
+          scratch.key_count[static_cast<std::size_t>(slot)]++)] =
+          static_cast<int>(f);
+    }
+  }
+
+  // Each group's per-link bytes, and its effective bottleneck Γ at full
+  // link capacity, taken once per touched link when the group's load is
+  // complete. Loads only grow within a group (remaining bytes are
+  // non-negative), so this is the same maximum, bit for bit, as taking it
+  // after every flow-link addition.
+  scratch.group_loads.clear();
+  for (GroupRef& group : scratch.groups) {
     const auto begin = static_cast<std::size_t>(group.begin);
     const auto end = begin + static_cast<std::size_t>(group.count);
     for (std::size_t j = begin; j < end; ++j) {
-      const auto f = static_cast<std::size_t>(scratch.group_flows[j].second);
-      for (int p = 0; p < scratch.path_count[f]; ++p) {
-        const int l =
-            scratch.path_links[f * kMaxPathLinks + static_cast<std::size_t>(p)];
-        const auto sl = static_cast<std::size_t>(l);
+      const auto f = static_cast<std::size_t>(scratch.group_flows[j]);
+      const int* path = flows.path(f);
+      for (int p = 0; p < flows.path_count[f]; ++p) {
+        const auto sl = static_cast<std::size_t>(path[p]);
         if (!scratch.touched_mark[sl]) {
           scratch.touched_mark[sl] = 1;
-          scratch.touched.push_back(l);
+          scratch.touched.push_back(path[p]);
         }
-        scratch.load[sl] += scratch.remaining[f];
-        if (scratch.residual[sl] <= kTinyBytes) {
-          starved = true;
-        } else {
-          gamma = std::max(gamma, scratch.load[sl] / scratch.residual[sl]);
-        }
+        scratch.load[sl] += flows.remaining[f];
       }
     }
+    group.load_begin = static_cast<int>(scratch.group_loads.size());
+    group.load_count = static_cast<int>(scratch.touched.size());
+    double gamma = 0;
     for (int l : scratch.touched) {
-      scratch.load[static_cast<std::size_t>(l)] = 0.0;
-      scratch.touched_mark[static_cast<std::size_t>(l)] = 0;
+      const auto sl = static_cast<std::size_t>(l);
+      scratch.group_loads.push_back({l, scratch.load[sl]});
+      gamma = std::max(gamma, scratch.load[sl] / capacity[sl]);
     }
-    scratch.touched.clear();
+    clear_touched(scratch);
+    group.gamma = gamma;
+  }
+}
+
+void madd_in_group_order(FlowTable& flows, FillScratch& scratch,
+                         const LinkSet& links) {
+  const std::vector<double>& capacities = links.capacities();
+  scratch.residual.assign(capacities.begin(), capacities.end());
+  for (const GroupRef& group : scratch.groups) {
+    // Rescaled completion time on what is left of the fabric. Residuals do
+    // not change while a group's γ is taken, so one look per link the group
+    // crosses gives the same γ as a look per flow-link.
+    double gamma = 0;
+    bool starved = false;
+    const auto loads_begin = static_cast<std::size_t>(group.load_begin);
+    const auto loads_end =
+        loads_begin + static_cast<std::size_t>(group.load_count);
+    for (std::size_t i = loads_begin; i < loads_end; ++i) {
+      const LinkLoad& load = scratch.group_loads[i];
+      const auto sl = static_cast<std::size_t>(load.link);
+      if (scratch.residual[sl] <= kTinyBytes) {
+        starved = true;
+      } else {
+        gamma = std::max(gamma, load.bytes / scratch.residual[sl]);
+      }
+    }
     // A group that is starved (a saturated link) or carries no bytes at all
     // (gamma == 0 — e.g. every flow already finished but has not been
     // retired yet) gets no MADD rate; the work-conserving backfill below
     // still serves its flows. The gamma guard also keeps the division safe.
     if (starved || gamma <= 0) continue;
+    const auto begin = static_cast<std::size_t>(group.begin);
+    const auto end = begin + static_cast<std::size_t>(group.count);
     for (std::size_t j = begin; j < end; ++j) {
-      const auto f = static_cast<std::size_t>(scratch.group_flows[j].second);
+      const auto f = static_cast<std::size_t>(scratch.group_flows[j]);
       // Zero-remaining flows keep rate 0 (identical to 0/gamma, without
       // relying on the division) and consume no residual capacity.
-      if (scratch.remaining[f] <= 0) continue;
-      const double flow_rate = scratch.remaining[f] / gamma;
-      scratch.rate[f] = flow_rate;
-      for (int p = 0; p < scratch.path_count[f]; ++p) {
-        const auto sl = static_cast<std::size_t>(
-            scratch
-                .path_links[f * kMaxPathLinks + static_cast<std::size_t>(p)]);
+      if (flows.remaining[f] <= 0) continue;
+      const double flow_rate = flows.remaining[f] / gamma;
+      flows.rate[f] = flow_rate;
+      const int* path = flows.path(f);
+      for (int p = 0; p < flows.path_count[f]; ++p) {
+        const auto sl = static_cast<std::size_t>(path[p]);
         scratch.residual[sl] = std::max(scratch.residual[sl] - flow_rate, 0.0);
       }
     }

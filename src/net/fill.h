@@ -11,62 +11,64 @@
 
 #include <cstddef>
 #include <limits>
-#include <utility>
 #include <vector>
 
 #include "net/allocator.h"
 #include "net/links.h"
+#include "util/flat_map.h"
 
 namespace corral::net_detail {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kTinyBytes = 1e-6;
-constexpr int kMaxPathLinks = 4;  // == FlowPath::links capacity
+
+// Bytes a coflow still has to move across one link.
+struct LinkLoad {
+  int link = 0;
+  double bytes = 0;
+};
 
 // A contiguous run of flows sharing one coflow key (indices into
-// FillScratch::group_flows).
+// FillScratch::group_flows), and the run of links those flows cross with
+// their summed remaining bytes (indices into FillScratch::group_loads).
 struct GroupRef {
   long key = 0;
   int begin = 0;
   int count = 0;
+  int load_begin = 0;
+  int load_count = 0;
   double gamma = 0;
 };
 
 // Scratch space for rate recomputation, reusable across calls so the steady
 // state allocates nothing (the allocator runs once per simulation event
-// batch).
-//
-// The flow set is mirrored into structure-of-arrays form by load_flows():
-// the bottleneck-scan, freeze, and Varys Γ/MADD inner loops then walk dense
-// double/int arrays (width/remaining/rate plus stride-4 flattened paths)
-// instead of the full Flow records — branch-light, cache-friendly, and
-// vectorizable. Rates accumulate in `rate` and are written back to the Flow
-// records once, by store_rates().
+// batch). The flows themselves are not here: the allocators read and write
+// the caller's FlowTable in place, and the bottleneck-scan, freeze and
+// Varys Γ/MADD inner loops walk its dense columns (width/remaining/rate plus
+// stride-4 flattened paths).
 //
 // Concurrency contract (exec:: pool workers run whole simulations, so one
 // OS thread serves many simulations over its lifetime and several threads
-// allocate at once): the scratch is thread_local, and every pass leaves no
-// observable state — per-flow arrays are rewritten by load_flows();
-// width_on_link / load / touched are reassigned or reset via the touched
-// list each pass. The per-link CSR (link_start/link_end/link_flows) is
-// rebuilt for exactly the links in active_links, and entries behind a zero
-// width_on_link are never read. Results therefore cannot depend on which
-// worker ran the previous simulation (regression test: AllocatorConcurrency
-// in net_test).
+// allocate at once): per-flow state belongs to the FlowTable its Network
+// owns, and only this per-link and per-pass scratch is thread_local. Every
+// pass leaves no observable state. The per-link arrays (width_on_link,
+// load, touched_mark) are all-zero between passes: a pass writes only links
+// it lists in active_links or touched, and those lists are zeroed at the end
+// of each coflow group and again at the start of the next pass (so even a
+// pass cut short by an exception leaves nothing behind). No pass pays for
+// the links it does not touch. The per-link CSR
+// (link_start/link_end/link_flows) is rebuilt for exactly the links in
+// active_links, and entries behind a zero width_on_link are never read.
+// Results therefore cannot depend on which worker ran the previous
+// simulation (regression test: AllocatorConcurrency in net_test).
 struct FillScratch {
-  // SoA mirror of the flow set (load_flows).
-  std::vector<double> width;
-  std::vector<double> remaining;
-  std::vector<double> rate;
-  std::vector<int> path_links;  // stride kMaxPathLinks per flow
-  std::vector<int> path_count;
-
   // Per-link fill state. width_on_link[link] == 0.0 marks "untouched this
   // pass"; active_links lists touched links in first-touch order (the
   // bottleneck scan iterates it, so this order is part of the deterministic
   // contract).
   std::vector<double> width_on_link;
   std::vector<int> active_links;
+  std::vector<int> scan_links;  // active links not yet drained this pass
   std::vector<int> link_start;  // CSR: flows crossing each active link
   std::vector<int> link_end;
   std::vector<int> link_flows;
@@ -76,42 +78,54 @@ struct FillScratch {
   std::vector<double> residual;
 
   // Coflow state: per-link load with deduplicated lazy-clear markers, and
-  // the sort-based coflow grouping (replaces a per-call unordered_map).
+  // the coflow grouping. slot_of_key maps a real coflow key (+1: FlatMap
+  // reserves 0) to its slot in keys/key_count; flow_slot is each row's slot
+  // (-1 for a singleton). group_flows lists the table rows group by group,
+  // and group_loads each group's per-link bytes, links in first-touch order.
   std::vector<double> load;
   std::vector<char> touched_mark;
   std::vector<int> touched;
-  std::vector<std::pair<long, int>> group_flows;  // (coflow key, flow id)
+  FlatMap<int> slot_of_key;
+  std::vector<long> keys;
+  std::vector<int> key_count;
+  std::vector<int> key_order;
+  std::vector<int> flow_slot;
+  std::vector<int> group_flows;
+  std::vector<LinkLoad> group_loads;
   std::vector<GroupRef> groups;
-
-  void load_flows(const std::vector<Flow>& flows);
-  void store_rates(std::vector<Flow>& flows) const;
 };
 
-// Progressive filling over the scratch's SoA arrays: repeatedly saturate the
+// Progressive filling over the table's columns: repeatedly saturate the
 // most constrained link and freeze the flows that cross it at the
 // width-weighted fair share, added on top of whatever is already in
-// scratch.rate (zero after load_flows; the MADD rates for coflow backfill).
+// flows.rate (zero for max-min; the MADD rates for coflow backfill).
 // Consumes scratch.residual in place, clamping at subtraction time so a
 // frozen round can never drive a residual negative (the share computation
 // re-clamps defensively, keeping the result identical either way).
 // Returns the number of filling rounds (bottleneck links saturated).
-int progressive_fill(FillScratch& scratch, std::size_t num_links);
+int progressive_fill(FlowTable& flows, FillScratch& scratch,
+                     std::size_t num_links);
 
-// Groups the loaded flows into coflows (flows without a coflow are
-// singletons keyed -(flow)-1) and computes each group's effective bottleneck
-// Γ at full link capacity. Fills scratch.group_flows (sorted by key, flow
-// ids ascending within a run) and scratch.groups in ascending-key order.
-void build_coflow_groups(FillScratch& scratch, const std::vector<Flow>& flows,
+// Groups the flows into coflows and computes each group's effective
+// bottleneck Γ at full link capacity. Flows without a coflow are singletons
+// keyed -(row)-1 and come first, in descending row order; real coflows
+// follow in ascending key, rows ascending within each. That is the order of
+// sorting (key, row) pairs, reached in linear time: only the distinct real
+// keys are sorted. Fills scratch.group_flows, scratch.group_loads and
+// scratch.groups.
+void build_coflow_groups(const FlowTable& flows, FillScratch& scratch,
                          const LinkSet& links);
 
 // MADD: give each coflow, in the *current* scratch.groups order, just
-// enough rate on the residual capacities to finish all its flows together.
+// enough rate on the residual capacities to finish all its flows together
+// (its per-link bytes come from build_coflow_groups).
 // Resets scratch.residual to the full link capacities first. A group that is
 // starved (a saturated link) or carries no bytes at all (gamma == 0 — e.g.
 // every flow already finished but has not been retired yet) gets no MADD
 // rate; the caller's work-conserving backfill still serves its flows. The
 // gamma guard also keeps the division safe.
-void madd_in_group_order(FillScratch& scratch, const LinkSet& links);
+void madd_in_group_order(FlowTable& flows, FillScratch& scratch,
+                         const LinkSet& links);
 
 // One scratch per OS thread: concurrent allocations (simulation batches on
 // the exec:: pool) never share buffers, and a pool worker reuses its slot

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "util/check.h"
 
@@ -24,9 +25,9 @@ Network::Network(const ClusterConfig& config,
 
 int Network::add_flow(Flow flow) {
   flow.id = next_flow_id_++;
-  flows_.push_back(std::move(flow));
+  flows_.push_back(flow);
   dirty_ = true;
-  return flows_.back().id;
+  return flow.id;
 }
 
 int Network::start_flow(const FlowDesc& desc) {
@@ -111,19 +112,13 @@ std::vector<Flow> Network::cancel_flows_if(
     const std::function<bool(const Flow&)>& predicate) {
   require(predicate != nullptr, "cancel_flows_if: predicate required");
   std::vector<Flow> cancelled;
-  auto keep = flows_.begin();
-  for (auto it = flows_.begin(); it != flows_.end(); ++it) {
-    if (predicate(*it)) {
-      cancelled.push_back(*it);
-    } else {
-      if (keep != it) *keep = std::move(*it);
-      ++keep;
-    }
-  }
-  if (!cancelled.empty()) {
-    flows_.erase(keep, flows_.end());
-    dirty_ = true;
-  }
+  flows_.retain_if([&](std::size_t f) {
+    Flow flow = flows_.row(f);
+    if (!predicate(flow)) return true;
+    cancelled.push_back(std::move(flow));
+    return false;
+  });
+  if (!cancelled.empty()) dirty_ = true;
   return cancelled;
 }
 
@@ -137,14 +132,15 @@ Seconds Network::time_to_next_completion() {
   if (flows_.empty()) return kInf;
   recompute_if_dirty();
   Seconds horizon = kInf;
-  for (const Flow& flow : flows_) {
-    if (flow.remaining <= kCompletionSlack) {
+  for (std::size_t f = 0; f < flows_.size(); ++f) {
+    const Bytes remaining = flows_.remaining[f];
+    if (remaining <= kCompletionSlack) {
       // Finished but not yet retired (e.g. injected with zero bytes left):
       // completes immediately — the next advance() sweeps it out even when
       // no time passes, so such a flow can never stall the simulation.
       horizon = 0;
-    } else if (flow.rate > 0) {
-      horizon = std::min(horizon, flow.remaining / flow.rate);
+    } else if (flows_.rate[f] > 0) {
+      horizon = std::min(horizon, remaining / flows_.rate[f]);
     }
   }
   ensure(horizon < kInf,
@@ -159,12 +155,13 @@ const std::vector<CompletedFlow>& Network::advance(Seconds dt) {
   recompute_if_dirty();
 
   if (dt > 0) {
-    for (Flow& flow : flows_) {
-      const Bytes moved = std::min(flow.remaining, flow.rate * dt);
-      flow.remaining -= moved;
-      if (flow.cross_rack) cross_rack_bytes_ += moved;
-      for (int i = 0; i < flow.path.count; ++i) {
-        link_bytes_[static_cast<std::size_t>(flow.path.links[i])] += moved;
+    for (std::size_t f = 0; f < flows_.size(); ++f) {
+      const Bytes moved = std::min(flows_.remaining[f], flows_.rate[f] * dt);
+      flows_.remaining[f] -= moved;
+      if (flows_.cross_rack[f]) cross_rack_bytes_ += moved;
+      const int* path = flows_.path(f);
+      for (int i = 0; i < flows_.path_count[f]; ++i) {
+        link_bytes_[static_cast<std::size_t>(path[i])] += moved;
       }
     }
   }
@@ -172,20 +169,14 @@ const std::vector<CompletedFlow>& Network::advance(Seconds dt) {
   // complete in groups, so a single recompute serves many completions. The
   // sweep runs even for dt == 0 so already-finished flows retire instead of
   // spinning the event loop at a zero horizon.
-  auto keep = flows_.begin();
-  for (auto it = flows_.begin(); it != flows_.end(); ++it) {
-    if (it->remaining <= kCompletionSlack) {
-      completed_.push_back(CompletedFlow{it->id, it->tag, it->coflow,
-                                         it->total, it->cross_rack});
-    } else {
-      if (keep != it) *keep = std::move(*it);
-      ++keep;
-    }
-  }
-  if (!completed_.empty()) {
-    flows_.erase(keep, flows_.end());
-    dirty_ = true;
-  }
+  flows_.retain_if([&](std::size_t f) {
+    if (flows_.remaining[f] > kCompletionSlack) return true;
+    completed_.push_back(CompletedFlow{flows_.id[f], flows_.tag[f],
+                                       flows_.coflow[f], flows_.total[f],
+                                       flows_.cross_rack[f] != 0});
+    return false;
+  });
+  if (!completed_.empty()) dirty_ = true;
   return completed_;
 }
 

@@ -1,9 +1,10 @@
 // Fluid flow-level network simulation.
 //
-// The Network owns the set of active flows and lazily recomputes their rates
-// with the configured RateAllocator whenever the flow set changes. The
-// discrete-event simulator advances it in lockstep: query the time of the
-// next flow completion, advance by at most that amount, and collect the
+// The Network owns the set of active flows, as one structure-of-arrays
+// FlowTable in ascending flow-id order, and lazily recomputes their rates in
+// place with the configured RateAllocator whenever the flow set changes.
+// The discrete-event simulator advances it in lockstep: query the time of
+// the next flow completion, advance by at most that amount, and collect the
 // flows that finished.
 #ifndef CORRAL_NET_NETWORK_H_
 #define CORRAL_NET_NETWORK_H_
@@ -111,7 +112,7 @@ class Network {
   ClusterConfig config_;
   LinkSet links_;
   std::unique_ptr<RateAllocator> allocator_;
-  std::vector<Flow> flows_;
+  FlowTable flows_;
   std::vector<CompletedFlow> completed_;  // reused by advance()
   int next_flow_id_ = 0;
   bool dirty_ = false;

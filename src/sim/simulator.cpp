@@ -190,11 +190,7 @@ class Simulator {
       : config_(config),
         topology_(config.cluster),
         dfs_(&topology_, config.dfs),
-        network_(config.cluster,
-                 coflow::make_allocator(
-                     config.net_policy == NetPolicy::kTcp && config.use_varys
-                         ? NetPolicy::kVarys
-                         : config.net_policy)),
+        network_(config.cluster, coflow::make_allocator(config.net_policy)),
         policy_(policy),
         rng_(config.seed) {
     trace_ = obs::TraceRecorder(config_.tracer, config_.trace_sink,

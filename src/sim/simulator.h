@@ -71,9 +71,6 @@ struct SimConfig {
   // Rate-allocation policy for the fabric (§6.6 plus the coflow suite in
   // src/coflow). Dispatched through coflow::make_allocator.
   NetPolicy net_policy = NetPolicy::kTcp;
-  // Deprecated compatibility shim for net_policy = kVarys; honored only
-  // while net_policy keeps its default.
-  bool use_varys = false;
   // Replicate reduce outputs off-rack (adds write traffic; off by default
   // so the headline benches isolate read/shuffle locality).
   bool write_output_replicas = false;

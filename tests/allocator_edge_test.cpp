@@ -7,16 +7,23 @@
 // the rate went NaN and poisoned the fill. These tests pin the guards:
 // rates stay finite and non-negative, per-link rate sums respect capacity,
 // drained flows are costless in MADD, and the thread_local scratch path
-// stays bit-exact under the pool with drained flows in the mix.
+// stays bit-exact under the pool with drained flows in the mix. They also
+// pin the linear-time coflow grouping to a sort-based oracle, and the
+// std::vector<Flow> adapter to the rates a Network computes in place.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <map>
 #include <memory>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "coflow/coflow.h"
 #include "exec/exec.h"
+#include "net/fill.h"
 #include "net/network.h"
 
 namespace corral {
@@ -276,6 +283,159 @@ TEST(AllocatorProperty, RandomFlowSetsRespectCapacityForEveryPolicy) {
       }
       allocator->allocate(flows, links);
       check_rates_sane(flows, links, /*require_progress=*/false);
+    }
+  }
+}
+
+// Flows whose coflow ids mix singletons (-1), small ids, simulator-style
+// j*64+s ids and ids near INT_MAX; about a quarter are drained.
+std::vector<Flow> mixed_flows(const LinkSet& links, const ClusterConfig& config,
+                              std::mt19937& rng, int n) {
+  std::vector<Flow> flows;
+  for (int f = 0; f < n; ++f) {
+    const int src = static_cast<int>(rng() % 8);
+    int dst = static_cast<int>(rng() % 8);
+    if (dst == src) dst = (dst + 1) % 8;
+    int coflow = -1;
+    switch (rng() % 4) {
+      case 0:
+        break;
+      case 1:
+        coflow = static_cast<int>(rng() % 4);
+        break;
+      case 2:
+        coflow = static_cast<int>(rng() % 5) * 64 + static_cast<int>(rng() % 3);
+        break;
+      default:
+        coflow = std::numeric_limits<int>::max() - static_cast<int>(rng() % 3);
+    }
+    const Bytes remaining =
+        rng() % 4 == 0 ? 0.0 : 1.0 + static_cast<double>(rng() % 100);
+    const double width = 1.0 + static_cast<double>(rng() % 3);
+    flows.push_back(
+        make_flow(links, config, f, src, dst, remaining, width, coflow));
+  }
+  return flows;
+}
+
+// The grouping oracle: sort (key, row) pairs, singletons keyed -(row)-1, and
+// take each run's Γ as the running maximum of load / capacity after every
+// flow-link addition. Also returns each run's final per-link bytes.
+struct SortedGroup {
+  long key = 0;
+  std::vector<int> rows;
+  double gamma = 0;
+  std::map<int, double> bytes;
+};
+
+std::vector<SortedGroup> sorted_groups(const std::vector<Flow>& flows,
+                                       const LinkSet& links) {
+  std::vector<std::pair<long, int>> pairs;
+  for (std::size_t f = 0; f < flows.size(); ++f) {
+    const long key = flows[f].coflow >= 0 ? static_cast<long>(flows[f].coflow)
+                                           : -static_cast<long>(f) - 1;
+    pairs.emplace_back(key, static_cast<int>(f));
+  }
+  std::sort(pairs.begin(), pairs.end());
+  std::vector<SortedGroup> groups;
+  for (std::size_t i = 0; i < pairs.size();) {
+    SortedGroup group;
+    group.key = pairs[i].first;
+    for (; i < pairs.size() && pairs[i].first == group.key; ++i) {
+      const Flow& flow = flows[static_cast<std::size_t>(pairs[i].second)];
+      group.rows.push_back(pairs[i].second);
+      for (int p = 0; p < flow.path.count; ++p) {
+        const int l = flow.path.links[static_cast<std::size_t>(p)];
+        group.bytes[l] += flow.remaining;
+        group.gamma =
+            std::max(group.gamma, group.bytes[l] / links.capacity(l));
+      }
+    }
+    groups.push_back(std::move(group));
+  }
+  return groups;
+}
+
+TEST(CoflowGrouping, MatchesSortedPairsOracle) {
+  const ClusterConfig config = tiny_cluster();
+  const LinkSet links(config);
+  std::mt19937 rng(515);
+  net_detail::FillScratch scratch;
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::vector<Flow> flows =
+        mixed_flows(links, config, rng, 1 + static_cast<int>(rng() % 40));
+    const std::vector<SortedGroup> expected = sorted_groups(flows, links);
+    // One scratch across trials: leftovers of a pass must not leak.
+    net_detail::build_coflow_groups(FlowTable::of(flows), scratch, links);
+
+    ASSERT_EQ(scratch.groups.size(), expected.size()) << "trial " << trial;
+    int next = 0;
+    for (std::size_t g = 0; g < expected.size(); ++g) {
+      const net_detail::GroupRef& group = scratch.groups[g];
+      EXPECT_EQ(group.key, expected[g].key) << "trial " << trial;
+      EXPECT_EQ(group.begin, next) << "trial " << trial;
+      ASSERT_EQ(group.count, static_cast<int>(expected[g].rows.size()));
+      const auto first = scratch.group_flows.begin() + group.begin;
+      EXPECT_EQ(std::vector<int>(first, first + group.count), expected[g].rows)
+          << "trial " << trial << " group " << g;
+      EXPECT_EQ(group.gamma, expected[g].gamma)
+          << "trial " << trial << " group " << g;
+      std::map<int, double> bytes;
+      for (int i = 0; i < group.load_count; ++i) {
+        const net_detail::LinkLoad& load =
+            scratch.group_loads[static_cast<std::size_t>(group.load_begin + i)];
+        EXPECT_TRUE(bytes.emplace(load.link, load.bytes).second)
+            << "link listed twice";
+      }
+      EXPECT_EQ(bytes, expected[g].bytes)
+          << "trial " << trial << " group " << g;
+      next += group.count;
+    }
+  }
+}
+
+TEST(AllocatorEdge, VectorAdapterMatchesNetworkRatesForEveryPolicy) {
+  // The same allocation through a Network's own table and through the
+  // std::vector<Flow> adapter must give the same rates, bit for bit. The
+  // Network side reallocates over partially drained flows, after a flow of
+  // a new coflow arrives (so the ordering policies refresh their order on
+  // both sides).
+  const ClusterConfig config = tiny_cluster();
+  for (const std::string& name : net_policy_names()) {
+    NetPolicy policy = NetPolicy::kTcp;
+    parse_net_policy(name, &policy);
+    std::mt19937 rng(777);
+    for (int trial = 0; trial < 60; ++trial) {
+      Network net(config, coflow::make_allocator(policy));
+      const LinkSet& links = net.links();
+      const std::vector<Flow> drawn =
+          mixed_flows(links, config, rng, 1 + static_cast<int>(rng() % 30));
+      for (const Flow& flow : drawn) {
+        const Bytes bytes = 8.0 + flow.total;
+        const int dst = static_cast<int>(rng() % 8);
+        if (rng() % 3 == 0) {
+          net.start_fanin_flow(static_cast<int>(rng() % 2), dst, bytes,
+                               flow.width, flow.coflow, 0);
+        } else {
+          int src = static_cast<int>(rng() % 8);
+          if (src == dst) src = (src + 1) % 8;
+          net.start_flow({src, dst, bytes, flow.width, flow.coflow, 0});
+        }
+      }
+      net.advance(net.time_to_next_completion() * 0.5);
+      net.start_flow({0, 5, 40.0, 1.0, 1000 + trial, 0});
+      net.time_to_next_completion();
+      const std::vector<Flow> rated =
+          net.cancel_flows_if([](const Flow&) { return true; });
+
+      std::vector<Flow> flows = rated;
+      for (Flow& flow : flows) flow.rate = 0;
+      coflow::make_allocator(policy)->allocate(flows, links);
+      ASSERT_EQ(flows.size(), rated.size());
+      for (std::size_t f = 0; f < flows.size(); ++f) {
+        EXPECT_EQ(flows[f].rate, rated[f].rate)
+            << name << " trial " << trial << " flow " << f;
+      }
     }
   }
 }

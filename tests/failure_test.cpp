@@ -170,7 +170,7 @@ TEST(Failure, ManyFailuresUnderVarys) {
                                        long_stage()));
   }
   SimConfig config = base_sim();
-  config.use_varys = true;
+  config.net_policy = NetPolicy::kVarys;
   config.write_output_replicas = true;
   for (int i = 0; i < 6; ++i) {
     config.machine_failure_events.push_back(

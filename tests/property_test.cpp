@@ -27,6 +27,14 @@ struct AllocatorCase {
   std::uint64_t seed;
 };
 
+// Without a printer gtest shows an AllocatorCase as its raw bytes, the name
+// pointer included, so the ctest names would move with the binary's layout.
+// The case name is already the test-name suffix; the seed alone keeps every
+// name within 100 characters.
+void PrintTo(const AllocatorCase& param, std::ostream* os) {
+  *os << "seed " << param.seed;
+}
+
 class AllocatorProperty : public ::testing::TestWithParam<AllocatorCase> {};
 
 TEST_P(AllocatorProperty, NoStarvationAndCapacityRespected) {
@@ -268,7 +276,7 @@ TEST_P(SimProperty, ConservationInvariants) {
   sim.cluster.machines_per_rack = 6;
   sim.cluster.slots_per_machine = 4;
   sim.cluster.nic_bandwidth = 2 * kGbps;
-  sim.use_varys = param.varys;
+  sim.net_policy = param.varys ? NetPolicy::kVarys : NetPolicy::kTcp;
   sim.write_output_replicas = param.writes;
   sim.seed = param.seed;
 

@@ -213,7 +213,7 @@ TEST(Sim, VarysAndTcpMoveTheSameBytes) {
 
   YarnCapacityPolicy policy_varys;
   SimConfig varys_config = small_sim();
-  varys_config.use_varys = true;
+  varys_config.net_policy = NetPolicy::kVarys;
   const SimResult varys = run_simulation(jobs, policy_varys, varys_config);
 
   EXPECT_NEAR(varys.total_cross_rack_bytes, tcp.total_cross_rack_bytes,

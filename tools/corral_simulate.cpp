@@ -28,8 +28,6 @@ int main(int argc, char** argv) {
   flags.add_choice("net-policy", net_policy_names(), "tcp",
                    "network rate allocation: tcp | varys | lp-order | "
                    "sincronia (docs/coflow.md)");
-  flags.add_bool("varys", false,
-                 "deprecated alias for --net-policy=varys");
   flags.add_bool("writes", true, "replicate reduce outputs off-rack");
   flags.add_bool("remote-storage", false,
                  "stream input from an external storage cluster (§7)");
@@ -71,7 +69,6 @@ int main(int argc, char** argv) {
     SimConfig sim;
     sim.cluster = cluster;
     parse_net_policy(flags.get_choice("net-policy"), &sim.net_policy);
-    sim.use_varys = flags.get_bool("varys");
     sim.write_output_replicas = flags.get_bool("writes");
     sim.remote_input_storage = flags.get_bool("remote-storage");
     if (flags.get_double("storage-gbps") > 0) {
@@ -145,13 +142,9 @@ int main(int argc, char** argv) {
     }
 
     const auto jct = result.completion_times();
-    const NetPolicy effective_net =
-        sim.net_policy == NetPolicy::kTcp && sim.use_varys
-            ? NetPolicy::kVarys
-            : sim.net_policy;
     std::printf("policy:            %s\n", result.policy_name.c_str());
     std::printf("net policy:        %s\n",
-                std::string(to_string(effective_net)).c_str());
+                std::string(to_string(sim.net_policy)).c_str());
     std::printf("jobs:              %zu\n", result.jobs.size());
     std::printf("makespan:          %.1f s\n", result.makespan);
     std::printf("avg completion:    %.1f s\n", result.avg_completion());
