@@ -7,12 +7,9 @@
 #include <vector>
 
 #include "util/check.h"
+#include "util/hash.h"
 
 namespace corral {
-
-namespace {
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-}  // namespace
 
 Fingerprint& Fingerprint::mix(std::uint64_t value) {
   for (int byte = 0; byte < 8; ++byte) {
@@ -30,10 +27,7 @@ Fingerprint& Fingerprint::mix(double value) {
 
 Fingerprint& Fingerprint::mix(std::string_view text) {
   mix(static_cast<std::uint64_t>(text.size()));
-  for (const char c : text) {
-    state_ ^= static_cast<std::uint8_t>(c);
-    state_ *= kFnvPrime;
-  }
+  state_ = fnv1a(text, state_);
   return *this;
 }
 

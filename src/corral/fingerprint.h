@@ -25,8 +25,9 @@
 
 namespace corral {
 
-// Incremental FNV-1a (64-bit). Doubles are mixed by bit pattern, so equal
-// doubles always hash equal and NaN payloads are at least deterministic.
+// Incremental FNV-1a (64-bit; util/hash.h). Doubles are mixed by bit
+// pattern, so equal doubles always hash equal and NaN payloads are at least
+// deterministic.
 class Fingerprint {
  public:
   Fingerprint& mix(std::uint64_t value);
@@ -36,7 +37,10 @@ class Fingerprint {
   std::uint64_t value() const { return state_; }
 
  private:
-  std::uint64_t state_ = 1469598103934665603ull;  // FNV offset basis
+  // NOT the standard FNV offset basis (14695981039346656037, kFnvOffsetBasis):
+  // this one drops its last digit. Every plan-cache key printed in ctrl
+  // reports and traces derives from it, so it stays as it is.
+  std::uint64_t state_ = 1469598103934665603ull;
 };
 
 // Relative log-space bucket of a positive quantity: two values within

@@ -1,23 +1,26 @@
-// Control-loop checkpoint/restore (docs/control_plane.md "Failure modes
-// and guardrails").
+// Control-plane checkpoint/restore (docs/control_plane.md "Checkpoint
+// format and `--resume`").
 //
-// After every completed epoch the loop can persist its entire mutable
-// state — plan cache, response-function memo, predictor histories, sticky
-// planning sizes, error-budget machine, per-epoch reports and the trace
-// events recorded so far — to a single versioned, checksummed text file. A
-// later `corral_loop --resume <ckpt>` (after a real kill or a chaos kCrash)
-// reconstructs that state and continues from the next epoch; because the
-// loop is virtual-time and seed-driven, the resumed run's reports, traces
-// and metrics are byte-identical to an uninterrupted run at any pool width.
+// After every completed epoch the control service can persist its entire
+// mutable state — per tenant the plan cache, response-function memo,
+// predictor histories, sticky planning sizes, error-budget machine and
+// per-epoch reports, plus the trace events recorded so far — to a single
+// versioned, checksummed text file. A later `corral_loop --resume <ckpt>`
+// (after a real kill or a chaos kCrash) reconstructs that state and
+// continues from the next epoch; because the loop is virtual-time and
+// seed-driven, the resumed run's reports, traces and metrics are
+// byte-identical to an uninterrupted run at any pool width and shard count.
 //
-// Format: line-oriented text. The first line is a version magic; every
+// Format (`corral-checkpoint v2`, the only one): line-oriented text. Every
 // floating-point value is stored as the hex image of its IEEE-754 bits
 // (exact round-trip — obs::format_double's shortest-decimal form is for
-// human-facing JSON, not for state); strings are length-prefixed raw
-// bytes; the last line is an FNV-1a checksum of everything before it.
-// read_checkpoint rejects a bad magic, a truncated body or a checksum
-// mismatch with std::invalid_argument — a torn write surfaces as a clean
-// error, never as silently wrong state.
+// human-facing JSON, not for state); strings are length-prefixed raw bytes;
+// the last line is an FNV-1a checksum of everything before it. The single
+// tenant of run_control_loop writes the same format with one tenant
+// section. Reading rejects a bad magic (including the retired v1
+// single-fleet files), a truncated body, a malformed or out-of-range field
+// or a checksum mismatch with std::invalid_argument — a torn write surfaces
+// as a clean error, never as silently wrong state.
 #ifndef CORRAL_CTRL_CHECKPOINT_H_
 #define CORRAL_CTRL_CHECKPOINT_H_
 
@@ -34,15 +37,9 @@
 
 namespace corral {
 
-// Everything run_control_loop mutates across epochs. The loop populates
-// this after each epoch (checkpoint_path) and consumes it before its first
-// epoch (resume_path).
+// One tenant's section: everything a TenantLoop mutates across epochs
+// (TenantLoop::save_state fills it, restore_state consumes it).
 struct CheckpointState {
-  // control_loop_fingerprint of the run that wrote the checkpoint; resume
-  // refuses a mismatch (different config, chaos regime or fleet).
-  std::uint64_t config_fingerprint = 0;
-
-  int next_epoch = 0;  // first epoch the resumed loop should run
   std::uint64_t prev_topology = 0;
   bool force_replan = false;  // pending drift-triggered invalidation
 
@@ -53,10 +50,13 @@ struct CheckpointState {
   int budget_demotions = 0;
   int budget_promotions = 0;
 
-  // Per-pipeline sticky planning sizes [weekday, weekend] and predictor
-  // histories (the feedback edge's accumulated observations).
-  std::vector<std::array<Bytes, 2>> planning_inputs;
-  std::vector<std::vector<JobInstance>> histories;
+  // Per pipeline: the sticky planning sizes [weekday, weekend] and the
+  // predictor history (the feedback edge's accumulated observations).
+  struct Pipeline {
+    std::array<Bytes, 2> planning_inputs{};
+    std::vector<JobInstance> history;
+  };
+  std::vector<Pipeline> pipelines;
 
   // Completed epochs' reports and the running drift-trip count.
   std::vector<EpochReport> reports;
@@ -74,61 +74,40 @@ struct CheckpointState {
   ResponseFunctionCache::Snapshot rf_entries;
   std::uint64_t rf_hits = 0;
   std::uint64_t rf_misses = 0;
-
-  // Trace events recorded so far (empty when tracing is off).
-  obs::TraceSnapshot trace;
 };
 
-// Fingerprint over everything a checkpoint's meaning depends on: the loop
+// Fingerprint over everything one tenant's state depends on: the loop
 // config (cluster, objective, thresholds, outage list, chaos spec + seed,
 // resilience knobs) and the fleet (references, shapes and the full
 // exogenous timelines). Pool/tracer/metrics pointers and the checkpoint
 // paths themselves are excluded — resuming under a different thread count
-// or output wiring is exactly the supported case.
+// or output wiring is exactly the supported case. The service checkpoint
+// gate (control_service_fingerprint) mixes one of these per tenant.
 std::uint64_t control_loop_fingerprint(
     const ControlLoopConfig& config,
     const std::vector<RecurringPipeline>& pipelines);
 
-std::string serialize_checkpoint(const CheckpointState& state);
-// Throws std::invalid_argument on bad magic, truncation, malformed fields
-// or checksum mismatch.
-CheckpointState deserialize_checkpoint(const std::string& text);
-
-// File wrappers; write is atomic-enough for the single-writer loop (write
-// to path + ".tmp", then rename). Throw std::runtime_error on I/O failure.
-void write_checkpoint(const std::string& path, const CheckpointState& state);
-CheckpointState read_checkpoint(const std::string& path);
-
-// ---------------------------------------------------------------------------
-// Multi-tenant service checkpoint (format v2).
-//
-// The v2 format carries one per-tenant section per TenantLoop — the same
-// body layout a v1 checkpoint uses for its single fleet — behind a
-// service-level fingerprint (control_service_fingerprint, which mixes
-// every tenant's control_loop_fingerprint with its name and priority) and
-// one shared trace snapshot spanning every tenant's sinks. Shard count and
-// pool width are excluded from the gate: resuming under a different
-// execution width is exactly the supported case. v1 files are unchanged
-// and the two formats reject each other by version magic.
-
+// The whole file: a service-level fingerprint gate, the resume epoch, one
+// section per tenant and one shared trace snapshot spanning every tenant's
+// sinks. Shard count and pool width are excluded from the gate.
 struct ServiceCheckpointState {
   // control_service_fingerprint of the run that wrote the checkpoint.
   std::uint64_t config_fingerprint = 0;
   int next_epoch = 0;  // first epoch the resumed service should run
-  // One section per tenant, in tenant-id order. The driver-level fields of
-  // each section (config_fingerprint, next_epoch, trace) are unused; the
-  // service owns those at the top level.
-  std::vector<CheckpointState> tenants;
+  std::vector<CheckpointState> tenants;  // in tenant-id order
   // Trace events recorded so far across every tenant's sinks.
   obs::TraceSnapshot trace;
 };
 
 std::string serialize_service_checkpoint(const ServiceCheckpointState& state);
-// Throws std::invalid_argument on bad magic/version (including a v1 file),
-// truncation, malformed fields or checksum mismatch.
+// Throws std::invalid_argument on bad magic/version, truncation, malformed
+// or out-of-range fields or checksum mismatch.
 ServiceCheckpointState deserialize_service_checkpoint(
     const std::string& text);
 
+// File wrappers; write is atomic-enough for the single-writer service
+// (write to path + ".tmp", then rename). Throw std::runtime_error on I/O
+// failure.
 void write_service_checkpoint(const std::string& path,
                               const ServiceCheckpointState& state);
 ServiceCheckpointState read_service_checkpoint(const std::string& path);

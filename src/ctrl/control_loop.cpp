@@ -4,13 +4,9 @@
 #include <cmath>
 #include <utility>
 
-#include "corral/fingerprint.h"
-#include "ctrl/checkpoint.h"
+#include "ctrl/service.h"
 #include "ctrl/tenant.h"
-#include "exec/exec.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
-#include "sim/batch.h"
 #include "util/check.h"
 
 namespace corral {
@@ -162,74 +158,12 @@ void record_ctrl_metrics(obs::MetricsRegistry* metrics,
 
 ControlLoopResult run_control_loop(std::vector<RecurringPipeline> pipelines,
                                    const ControlLoopConfig& config) {
-  config.validate();
-  ctrl_detail::validate_pipelines(pipelines, "run_control_loop");
-  const std::uint64_t config_sig =
-      control_loop_fingerprint(config, pipelines);
-
-  // The whole single-tenant loop is one tenant of the service core: base
-  // seed, sink base 0 and an empty label prefix make its outputs
-  // bit-compatible with the pre-service implementation.
-  TenantLoop tenant(std::move(pipelines), config, config.seed,
-                    config.chaos_seed, /*sink_base=*/0,
-                    /*label_prefix=*/"");
-
-  int start_epoch = 0;
-  if (!config.resume_path.empty()) {
-    CheckpointState saved = read_checkpoint(config.resume_path);
-    require(saved.config_fingerprint == config_sig,
-            "run_control_loop: checkpoint '" + config.resume_path +
-                "' was written by a different config or fleet");
-    require(saved.next_epoch >= 0 && saved.next_epoch <= config.epochs,
-            "run_control_loop: checkpoint next_epoch out of range");
-    start_epoch = saved.next_epoch;
-    tenant.restore_state(saved);
-    if (config.tracer != nullptr) {
-      obs::restore_tracer(*config.tracer, saved.trace);
-    }
-  }
-
-  // Bound *after* a possible restore replays old sinks into the tracer.
-  tenant.bind_trace();
-
-  const BatchRunner runner(config.pool);
-
-  std::vector<int> all_racks(static_cast<std::size_t>(config.cluster.racks));
-  for (int r = 0; r < config.cluster.racks; ++r) {
-    all_racks[static_cast<std::size_t>(r)] = r;
-  }
-
-  for (int epoch = start_epoch; epoch < config.epochs; ++epoch) {
-    const std::vector<int> outage_racks =
-        ctrl_detail::outage_racks_for_epoch(config, epoch);
-    std::vector<int> usable_racks;
-    usable_racks.reserve(all_racks.size());
-    for (int r : all_racks) {
-      if (!std::binary_search(outage_racks.begin(), outage_racks.end(), r)) {
-        usable_racks.push_back(r);
-      }
-    }
-    tenant.run_epoch(epoch, usable_racks, !outage_racks.empty(), runner);
-
-    if (!config.checkpoint_path.empty()) {
-      CheckpointState state;
-      state.config_fingerprint = config_sig;
-      state.next_epoch = epoch + 1;
-      tenant.save_state(state);
-      if (config.tracer != nullptr) {
-        state.trace = obs::snapshot_tracer(*config.tracer);
-      }
-      write_checkpoint(config.checkpoint_path, state);
-    }
-    if (tenant.crash_after(epoch)) {
-      tenant.note_crash(epoch);
-      break;
-    }
-  }
-
-  ControlLoopResult result = tenant.finish();
-  record_ctrl_metrics(config.metrics, result);
-  return result;
+  std::vector<ServiceTenant> tenants(1);
+  tenants[0].name = "t0";
+  tenants[0].pipelines = std::move(pipelines);
+  ServiceConfig service;
+  service.loop = config;
+  return run_control_service(std::move(tenants), service).combined;
 }
 
 }  // namespace corral

@@ -263,15 +263,15 @@ std::vector<RecurringPipeline> make_recurring_fleet(
     const W1Config& config, int warmup_days, int epochs, std::uint64_t seed);
 
 // Drives the loop. Pipelines are taken by value: the loop owns and mutates
-// their histories (the feedback edge). Internally a thin wrapper over one
-// TenantLoop (ctrl/tenant.h) of the multi-tenant service (ctrl/service.h);
-// outputs are bit-compatible with the pre-service implementation.
+// their histories (the feedback edge). This is the control service
+// (ctrl/service.h) with one tenant ("t0", priority 1, one shard lane), so
+// checkpoint_path/resume_path read and write the service's v2 format and
+// the result is the service's combined result.
 ControlLoopResult run_control_loop(std::vector<RecurringPipeline> pipelines,
                                    const ControlLoopConfig& config);
 
 // Writes the run's ctrl.* counters and gauges into `metrics` (no-op when
-// null). Shared by run_control_loop and the multi-tenant service, which
-// records the same names over its combined result.
+// null). The control service records them over its combined result.
 void record_ctrl_metrics(obs::MetricsRegistry* metrics,
                          const ControlLoopResult& result);
 

@@ -1,22 +1,15 @@
 #include "ctrl/report.h"
 
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <sstream>
 
 #include "obs/export.h"
 #include "util/check.h"
+#include "util/hash.h"
 
 namespace corral {
 namespace {
-
-std::string hex16(std::uint64_t value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(value));
-  return buffer;
-}
 
 const char* json_bool(bool value) { return value ? "true" : "false"; }
 

@@ -156,8 +156,8 @@ ServiceResult run_control_service(std::vector<ServiceTenant> tenants,
   // Each tenant owns a fixed block of trace sinks: ctrl at the base,
   // planner at base+1+2e, simulation at base+2+2e — the single-tenant
   // layout, shifted. The service itself traces on the sink after every
-  // tenant block (T > 1 only, so a 1-tenant service is bit-compatible
-  // with run_control_loop).
+  // tenant block (T > 1 only, so a 1-tenant service — run_control_loop —
+  // keeps the single-fleet layout).
   const int sink_stride = 1 + 2 * epochs;
   const std::uint64_t service_sig =
       control_service_fingerprint(config, tenants);
@@ -233,14 +233,21 @@ ServiceResult run_control_service(std::vector<ServiceTenant> tenants,
     // tenant-id order, dealt round-robin onto the shard lanes. Tenant
     // state is disjoint and every tenant's sinks and seeds are its own,
     // so the lanes run concurrently without ordering effects; nested
-    // planner/simulator regions inline on the lane's worker.
+    // planner/simulator regions inline on the lane's worker. One lane runs
+    // on the calling thread instead, so those nested regions keep the
+    // whole pool.
     const std::vector<std::vector<int>>& grants =
         schedule.grants[static_cast<std::size_t>(epoch)];
-    exec::parallel_for(pool, lanes, [&](std::size_t lane) {
+    const auto run_lane = [&](std::size_t lane) {
       for (std::size_t t = lane; t < count; t += lanes) {
         loops[t].run_epoch(epoch, grants[t], outage, runner);
       }
-    });
+    };
+    if (lanes > 1) {
+      exec::parallel_for(pool, lanes, run_lane);
+    } else {
+      run_lane(0);
+    }
 
     if (!config.loop.checkpoint_path.empty()) {
       ServiceCheckpointState state;
@@ -286,8 +293,7 @@ ServiceResult run_control_service(std::vector<ServiceTenant> tenants,
 
   // Merge: epochs concatenate in tenant-id order, totals sum, and the
   // run-level mean recomputes over the concatenation — for one tenant the
-  // combined result IS the tenant result, so metrics bytes match
-  // run_control_loop's.
+  // combined result IS the tenant result.
   ControlLoopResult& combined = result.combined;
   double error_sum = 0;
   for (const TenantResult& tenant : result.tenants) {

@@ -16,7 +16,8 @@
 //      in tenant-id order and is dealt round-robin onto S shard lanes;
 //      each lane drains its items in admission order on the shared
 //      exec::ThreadPool (nested planner/simulator parallelism inlines on
-//      the lane's worker).
+//      the lane's worker). A single lane runs on the calling thread, so
+//      its nested regions use the whole pool.
 //   3. merges — per-tenant EpochReports, obs sinks and metrics are merged
 //      in (tenant id, epoch, sink seq) order after the parallel region.
 //
@@ -24,13 +25,13 @@
 // (pipelines, per-tenant seed, granted racks), the arbitration schedule is
 // a pure function of the config, and trace sinks live at per-tenant bases
 // (tenant t owns sinks [t*(1+2E), (t+1)*(1+2E))), so reports, traces and
-// metrics are byte-identical for ANY (shards, threads) combination — and a
-// 1-tenant service run is exact-equal to run_control_loop's output.
+// metrics are byte-identical for ANY (shards, threads) combination.
+// run_control_loop is this service with one tenant.
 //
 // Checkpoint/resume: ControlLoopConfig::checkpoint_path/resume_path apply
-// to the whole service with the v2 multi-tenant checkpoint format
-// (ctrl/checkpoint.h): per-tenant sections behind a service-level
-// fingerprint gate, one shared trace snapshot.
+// to the whole service with the v2 checkpoint format (ctrl/checkpoint.h):
+// per-tenant sections behind a service-level fingerprint gate, one shared
+// trace snapshot.
 #ifndef CORRAL_CTRL_SERVICE_H_
 #define CORRAL_CTRL_SERVICE_H_
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <optional>
 #include <utility>
@@ -10,6 +9,7 @@
 #include "corral/fingerprint.h"
 #include "plan/backend.h"
 #include "util/check.h"
+#include "util/hash.h"
 
 namespace corral {
 namespace ctrl_detail {
@@ -50,13 +50,6 @@ namespace {
 
 bool is_weekend(int day) { return day % 7 == 5 || day % 7 == 6; }
 
-std::string hex_key(std::uint64_t key) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(key));
-  return buffer;
-}
-
 // The realized instance for (day, run 0) of a pipeline's exogenous
 // timeline; throws when the timeline does not cover the day.
 const JobInstance& timeline_instance(const RecurringPipeline& pipeline,
@@ -64,7 +57,7 @@ const JobInstance& timeline_instance(const RecurringPipeline& pipeline,
   for (const JobInstance& instance : pipeline.timeline) {
     if (instance.day == day && instance.run_of_day == 0) return instance;
   }
-  require(false, "run_control_loop: pipeline '" + pipeline.reference.name +
+  require(false, "TenantLoop: pipeline '" + pipeline.reference.name +
                      "' timeline does not cover day " + std::to_string(day));
   return pipeline.timeline.front();  // unreachable
 }
@@ -114,16 +107,15 @@ TenantLoop::TenantLoop(std::vector<RecurringPipeline> pipelines,
 }
 
 void TenantLoop::restore_state(const CheckpointState& saved) {
-  require(saved.planning_inputs.size() == pipelines_.size() &&
-              saved.histories.size() == pipelines_.size(),
+  require(saved.pipelines.size() == pipelines_.size(),
           "TenantLoop: checkpoint pipeline count mismatch");
   prev_topology_ = saved.prev_topology;
   force_replan_ = saved.force_replan;
   budget_.restore(saved.budget_mode, saved.budget_bad, saved.budget_good,
                   saved.budget_demotions, saved.budget_promotions);
-  planning_inputs_ = saved.planning_inputs;
   for (std::size_t i = 0; i < pipelines_.size(); ++i) {
-    pipelines_[i].history = saved.histories[i];
+    planning_inputs_[i] = saved.pipelines[i].planning_inputs;
+    pipelines_[i].history = saved.pipelines[i].history;
   }
   result_.epochs = saved.reports;
   result_.drift_trips = saved.drift_trips;
@@ -142,10 +134,10 @@ void TenantLoop::save_state(CheckpointState& state) const {
   state.budget_good = budget_.consecutive_good();
   state.budget_demotions = budget_.demotions();
   state.budget_promotions = budget_.promotions();
-  state.planning_inputs = planning_inputs_;
-  state.histories.reserve(pipelines_.size());
-  for (const RecurringPipeline& pipeline : pipelines_) {
-    state.histories.push_back(pipeline.history);
+  state.pipelines.resize(pipelines_.size());
+  for (std::size_t i = 0; i < pipelines_.size(); ++i) {
+    state.pipelines[i].planning_inputs = planning_inputs_[i];
+    state.pipelines[i].history = pipelines_[i].history;
   }
   state.reports = result_.epochs;
   state.drift_trips = result_.drift_trips;
@@ -535,7 +527,7 @@ EpochReport TenantLoop::run_epoch(int epoch,
   trace_.span(obs::TraceTrack::kCtrl, "epoch", "ctrl", /*tid=*/0,
               /*start=*/epoch, /*end=*/epoch + 1,
               {obs::arg("day", static_cast<double>(report.day)),
-               obs::arg("key", hex_key(report.cache_key)),
+               obs::arg("key", hex16(report.cache_key)),
                obs::arg("hit", static_cast<double>(report.cache_hit)),
                obs::arg("prediction_error", report.mean_prediction_error),
                obs::arg("replan_evals",

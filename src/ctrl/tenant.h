@@ -1,23 +1,22 @@
-// One tenant of the control plane: the single-fleet epoch body of the
-// original run_control_loop, extracted so it can be instantiated T times
-// behind the multi-tenant service (ctrl/service.h) while the single-tenant
-// API stays a thin wrapper over exactly one TenantLoop.
+// One tenant of the control plane: the single-fleet epoch body, run T
+// times behind the control service (ctrl/service.h). run_control_loop is
+// the service with exactly one TenantLoop.
 //
 // A TenantLoop owns every piece of per-tenant mutable state — predictor
 // histories, sticky planning sizes, the signature-keyed PlanCache, the
 // memoized ResponseFunctionCache, the error-budget machine, the last-good
 // fallback plan and the per-tenant chaos schedule — and advances it one
-// epoch at a time via run_epoch(). The *driver* (run_control_loop or
-// run_control_service) owns everything cross-cutting: which racks the
-// tenant is granted this epoch, checkpointing, and crash handling.
+// epoch at a time via run_epoch(). Its caller, run_control_service, owns
+// everything cross-cutting: which racks the tenant is granted this epoch,
+// checkpointing, and crash handling.
 //
 // Determinism contract: a TenantLoop's outputs are a pure function of its
 // (pipelines, config, seed, granted racks per epoch). Trace sinks are laid
 // out per tenant at a fixed base — sink_base = ctrl track, sink_base+1+2e =
 // epoch e's planner, sink_base+2+2e = epoch e's simulation — so merged
 // traces are byte-identical regardless of which shard or thread ran the
-// tenant. With sink_base 0 and an empty label prefix the layout (and every
-// byte of output) reduces to the original single-tenant loop's.
+// tenant. With sink_base 0 and an empty label prefix the layout is the
+// single-tenant loop's (sink 0 = ctrl, 1+2e planner, 2+2e simulation).
 #ifndef CORRAL_CTRL_TENANT_H_
 #define CORRAL_CTRL_TENANT_H_
 
@@ -51,9 +50,9 @@ std::uint64_t substream(std::uint64_t seed, std::uint64_t index);
 std::vector<int> outage_racks_for_epoch(const ControlLoopConfig& config,
                                         int epoch);
 
-// The non-config half of run_control_loop's input validation: at least one
+// The non-config half of the service's input validation: at least one
 // pipeline, valid references, finite positive timelines. `who` prefixes the
-// thrown message (e.g. "run_control_loop").
+// thrown message (e.g. "run_control_service('t0')").
 void validate_pipelines(std::span<const RecurringPipeline> pipelines,
                         const std::string& who);
 
@@ -65,9 +64,9 @@ class TenantLoop {
   // base seed (epoch simulations derive substreams of it); `chaos_seed` 0
   // derives the chaos-schedule seed from `seed`. `sink_base` and
   // `label_prefix` place the tenant's trace sinks and labels; (0, "") is
-  // bit-compatible with the pre-service single-tenant loop. `backend`
-  // overrides config.planner_backend for this tenant (the multi-tenant
-  // service's per-tenant planner choice); nullopt inherits the config's.
+  // the single-tenant layout. `backend` overrides config.planner_backend
+  // for this tenant (the multi-tenant service's per-tenant planner choice);
+  // nullopt inherits the config's.
   // `net_policy` likewise overrides config.net_policy — the rate-allocation
   // policy this tenant's epoch simulations run under.
   TenantLoop(std::vector<RecurringPipeline> pipelines,
@@ -82,8 +81,7 @@ class TenantLoop {
   // section's pipeline count does not match this tenant's fleet.
   void restore_state(const CheckpointState& saved);
 
-  // Fills the per-tenant fields of a checkpoint section. The driver-owned
-  // fields (config_fingerprint, next_epoch, trace) are left untouched.
+  // Fills a checkpoint section with the tenant's state.
   void save_state(CheckpointState& state) const;
 
   // Creates the tenant's kCtrl trace recorder. Must run *after* a possible

@@ -1,10 +1,9 @@
-// Event queues for the discrete-event simulator.
+// The discrete-event simulator's event queue.
 //
-// Both queues pop events in ascending (time, seq) order — exactly the order
-// the simulator's original std::priority_queue produced with the EventLater
-// comparator — so they are drop-in interchangeable and byte-identical in
-// effect. `tests/event_queue_test.cpp` pits them against each other on
-// randomized schedules with tied timestamps to keep that contract honest.
+// CalendarEventQueue pops events in ascending (time, seq) order — exactly
+// the order a binary heap on (time, seq) produces.
+// `tests/event_queue_test.cpp` pits it against such a heap on randomized
+// schedules with tied timestamps to keep that contract honest.
 //
 //  * CalendarEventQueue: a calendar/ladder queue. Virtual time is divided
 //    into fixed-width ticks (one per batching quantum by default); a ring of
@@ -15,8 +14,6 @@
 //    alignment every event in a bucket shares one timestamp and arrives in
 //    seq order, making push an O(1) append and pop an O(1) head advance; the
 //    ordered-insert fallback keeps arbitrary (unaligned) times correct too.
-//  * BinaryHeapEventQueue: the original binary heap, kept behind the
-//    CORRAL_LEGACY_EVENT_HEAP build flag and for the differential test.
 //
 // EventT must expose `double time` and `long seq`. Ordering is total because
 // the simulator assigns distinct seq values; the queues themselves do not
@@ -30,7 +27,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <queue>
 #include <vector>
 
 #include "util/check.h"
@@ -242,30 +238,6 @@ class CalendarEventQueue {
   std::size_t size_ = 0;
   std::int64_t top_bucket_ = 0;
   bool top_valid_ = false;
-};
-
-// The pre-calendar event queue: a plain binary heap on (time, seq). Kept as
-// the reference implementation for the differential test and selectable via
-// the CORRAL_LEGACY_EVENT_HEAP compile definition.
-template <typename EventT>
-class BinaryHeapEventQueue {
- public:
-  explicit BinaryHeapEventQueue(double /*bucket_width*/ = 0.25) {}
-
-  bool empty() const { return heap_.empty(); }
-  std::size_t size() const { return heap_.size(); }
-  void push(const EventT& event) { heap_.push(event); }
-  const EventT& top() { return heap_.top(); }
-  void pop() { heap_.pop(); }
-
- private:
-  struct Later {
-    bool operator()(const EventT& a, const EventT& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-  std::priority_queue<EventT, std::vector<EventT>, Later> heap_;
 };
 
 }  // namespace corral

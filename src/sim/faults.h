@@ -10,9 +10,10 @@
 //  * generate_fault_schedule() — stochastic churn from MTBF/MTTR parameters
 //    (per-machine crashes and whole-rack ToR outages), the way a production
 //    trace would be synthesized;
-//  * hand-written event lists in tests and drills;
-//  * the legacy SimConfig::machine_failure_events vector, which the
-//    simulator folds into the schedule as permanent crashes.
+//  * `corral-faults v1` text files (read_faults_file, corral_simulate
+//    --faults);
+//  * hand-written event lists in tests and drills — a permanent crash is
+//    one FaultEvent{t, FaultType::kCrash, machine} with no recover.
 #ifndef CORRAL_SIM_FAULTS_H_
 #define CORRAL_SIM_FAULTS_H_
 

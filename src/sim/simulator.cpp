@@ -174,15 +174,6 @@ struct Rerep {
   int dst = -1;
 };
 
-// Pop order is ascending (time, seq) — see sim/event_queue.h. The calendar
-// queue is the default; -DCORRAL_LEGACY_EVENT_HEAP selects the original
-// binary heap (same order, kept for the differential test and as a fallback).
-#ifdef CORRAL_LEGACY_EVENT_HEAP
-using SimEventQueue = BinaryHeapEventQueue<Event>;
-#else
-using SimEventQueue = CalendarEventQueue<Event>;
-#endif
-
 class Simulator {
  public:
   Simulator(std::span<const JobSpec> jobs, SchedulingPolicy& policy,
@@ -208,16 +199,6 @@ class Simulator {
     for (int m = 0; m < topology_.machines(); ++m) {
       slots_free_[static_cast<std::size_t>(m)] =
           topology_.is_up(m) ? config_.cluster.slots_per_machine : 0;
-    }
-    for (const SimConfig::MachineFailure& failure :
-         config_.machine_failure_events) {
-      require(failure.machine >= 0 && failure.machine < topology_.machines(),
-              "run_simulation: failure event machine out of range");
-      require(failure.time >= 0,
-              "run_simulation: failure event time must be non-negative");
-      push_event(Event{failure.time, next_seq_++,
-                       Event::Type::kMachineFailure, 0, 0, 0,
-                       failure.machine, 0});
     }
     config_.faults.validate(topology_.machines());
     require(config_.max_task_retries > 0 && config_.max_task_retries < 255,
@@ -1994,10 +1975,11 @@ class Simulator {
   std::vector<int> freed_machines_;
   bool new_work_ = false;
 
-  // Bucket width: one batching quantum, so quantum-aligned events map one
-  // timestamp per bucket (the queue is correct for any width).
-  SimEventQueue events_{config_.time_quantum > 0 ? config_.time_quantum
-                                                 : 0.25};
+  // Pops in ascending (time, seq) order (sim/event_queue.h). Bucket width:
+  // one batching quantum, so quantum-aligned events map one timestamp per
+  // bucket (the queue is correct for any width).
+  CalendarEventQueue<Event> events_{
+      config_.time_quantum > 0 ? config_.time_quantum : 0.25};
   long next_seq_ = 0;
   Seconds now_ = 0;
 

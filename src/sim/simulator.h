@@ -101,13 +101,6 @@ struct SimConfig {
   // an empty disk, and dropped Corral constraints are re-armed once every
   // assigned rack is healthy again.
   FaultSchedule faults;
-  // Deprecated compatibility shim: folded into `faults` as permanent
-  // crashes. Prefer FaultSchedule / generate_fault_schedule().
-  struct MachineFailure {
-    Seconds time = 0;
-    int machine = 0;
-  };
-  std::vector<MachineFailure> machine_failure_events;
   // Hadoop-style speculative execution: when a slot would otherwise idle, a
   // task that has run at least speculation_min_runtime and longer than
   // speculation_slowdown x its stage's mean completed-task duration gets

@@ -21,6 +21,7 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/hash.h"
 
 namespace corral {
 namespace {
@@ -492,7 +493,7 @@ TEST(CtrlResilience, GuardrailMetricsAreExported) {
 
 // --- checkpoint format ---------------------------------------------------
 
-CheckpointState sample_state(const std::string& tag) {
+ServiceCheckpointState sample_state(const std::string& tag) {
   ControlLoopConfig config = loop_config(5);
   // Unique file per caller: gtest_discover_tests runs each TEST as its own
   // ctest process, so concurrent tests must not share a checkpoint path.
@@ -501,44 +502,84 @@ CheckpointState sample_state(const std::string& tag) {
   config.chaos = parse_chaos_spec("spike=0.4");
   config.resilience.enabled = true;
   (void)run_loop(config);
-  return read_checkpoint(config.checkpoint_path);
+  return read_service_checkpoint(config.checkpoint_path);
 }
 
 TEST(CtrlCheckpoint, SerializeDeserializeRoundTripsExactly) {
-  const CheckpointState state = sample_state("roundtrip");
-  const std::string text = serialize_checkpoint(state);
-  const CheckpointState reread = deserialize_checkpoint(text);
+  const ServiceCheckpointState state = sample_state("roundtrip");
+  const std::string text = serialize_service_checkpoint(state);
+  const ServiceCheckpointState reread =
+      deserialize_service_checkpoint(text);
   // Exact fixed point: one more serialize of the deserialized state is
   // byte-identical (doubles are stored as IEEE-754 bit images).
-  EXPECT_EQ(serialize_checkpoint(reread), text);
+  EXPECT_EQ(serialize_service_checkpoint(reread), text);
   EXPECT_EQ(reread.config_fingerprint, state.config_fingerprint);
   EXPECT_EQ(reread.next_epoch, state.next_epoch);
-  EXPECT_EQ(reread.reports.size(), state.reports.size());
-  EXPECT_EQ(reread.histories.size(), state.histories.size());
-  EXPECT_EQ(reread.plan_cache.entries.size(),
-            state.plan_cache.entries.size());
+  ASSERT_EQ(reread.tenants.size(), 1u);
+  EXPECT_EQ(reread.tenants[0].reports.size(), state.tenants[0].reports.size());
+  EXPECT_EQ(reread.tenants[0].pipelines.size(),
+            state.tenants[0].pipelines.size());
+  EXPECT_EQ(reread.tenants[0].plan_cache.entries.size(),
+            state.tenants[0].plan_cache.entries.size());
 }
 
 TEST(CtrlCheckpoint, RejectsCorruptionTruncationAndBadMagic) {
-  const std::string text = serialize_checkpoint(sample_state("reject"));
-  EXPECT_NO_THROW(deserialize_checkpoint(text));
+  const std::string text = serialize_service_checkpoint(sample_state("reject"));
+  EXPECT_NO_THROW(deserialize_service_checkpoint(text));
 
   std::string bad_magic = text;
   bad_magic[0] = 'X';
-  EXPECT_THROW(deserialize_checkpoint(bad_magic), std::invalid_argument);
+  EXPECT_THROW(deserialize_service_checkpoint(bad_magic),
+               std::invalid_argument);
 
-  // Flip one digit inside the body (the "state <epoch> ..." line): the
-  // FNV trailer must catch it.
+  // Flip one digit inside the body (the "state 0 ..." line): the FNV
+  // trailer must catch it.
   std::string flipped = text;
   const std::size_t pos = text.find("\nstate ");
   ASSERT_NE(pos, std::string::npos);
   flipped[pos + 7] = flipped[pos + 7] == '0' ? '1' : '0';
-  EXPECT_THROW(deserialize_checkpoint(flipped), std::invalid_argument);
+  EXPECT_THROW(deserialize_service_checkpoint(flipped),
+               std::invalid_argument);
 
   const std::string truncated = text.substr(0, text.size() / 2);
-  EXPECT_THROW(deserialize_checkpoint(truncated), std::invalid_argument);
+  EXPECT_THROW(deserialize_service_checkpoint(truncated),
+               std::invalid_argument);
 
-  EXPECT_THROW(deserialize_checkpoint(""), std::invalid_argument);
+  EXPECT_THROW(deserialize_service_checkpoint(""), std::invalid_argument);
+}
+
+// Replaces `from` with `to` in a checkpoint's body and re-seals it with a
+// valid checksum, so only the reader's field checks stand in the way.
+std::string reseal(const std::string& text, const std::string& from,
+                   const std::string& to) {
+  std::string body = text.substr(0, text.rfind("checksum "));
+  const std::size_t pos = body.find(from);
+  EXPECT_NE(pos, std::string::npos) << from;
+  if (pos != std::string::npos) body.replace(pos, from.size(), to);
+  return body + "checksum " + hex16(fnv1a(body)) + "\n";
+}
+
+TEST(CtrlCheckpoint, RejectsOutOfRangeCountsAndCounters) {
+  ServiceCheckpointState state;
+  state.tenants.resize(1);
+  state.tenants[0].pipelines.resize(1);
+  state.tenants[0].has_last_good = true;
+  const std::string text = serialize_service_checkpoint(state);
+  ASSERT_EQ(reseal(text, "\nrf ", "\nrf "), text);
+  EXPECT_NO_THROW(deserialize_service_checkpoint(text));
+
+  // A count past int range (it must not narrow to 1 pipeline), a negative
+  // cache counter (it must not wrap to 2^64 - 5 hits) and a count far past
+  // the input (it must fail before any allocation) are all malformed.
+  const std::string pipelines =
+      reseal(text, "\npipelines 1\n", "\npipelines 4294967297\n");
+  const std::string hits =
+      reseal(text, "\nplan_cache 0 0 ", "\nplan_cache 0 -5 ");
+  const std::string jobs = reseal(text, "\nplan 0 ", "\nplan 2000000000 ");
+  EXPECT_THROW(deserialize_service_checkpoint(pipelines),
+               std::invalid_argument);
+  EXPECT_THROW(deserialize_service_checkpoint(hits), std::invalid_argument);
+  EXPECT_THROW(deserialize_service_checkpoint(jobs), std::invalid_argument);
 }
 
 TEST(CtrlCheckpoint, ResumeRefusesMismatchedConfig) {

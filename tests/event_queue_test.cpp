@@ -1,16 +1,16 @@
-// Differential test: CalendarEventQueue vs BinaryHeapEventQueue.
+// Differential test: CalendarEventQueue vs a binary heap on (time, seq).
 //
 // The simulator's determinism contract requires the calendar queue to pop
-// the exact (time, seq) order the legacy binary heap produced. This test
-// drives both queues through identical randomized schedules — tied
-// timestamps, interleaved pushes and pops, times far beyond the calendar
-// window (overflow), pushes behind the scan cursor (retreat), and
-// drain-to-empty refills — and asserts the popped sequences match event for
-// event.
+// the exact (time, seq) order of a plain binary heap. This test drives both
+// queues through identical randomized schedules — tied timestamps,
+// interleaved pushes and pops, times far beyond the calendar window
+// (overflow), pushes behind the scan cursor (retreat), and drain-to-empty
+// refills — and asserts the popped sequences match event for event.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
+#include <queue>
 #include <random>
 #include <utility>
 #include <vector>
@@ -23,6 +23,24 @@ namespace {
 struct Ev {
   double time = 0;
   long seq = 0;
+};
+
+// The oracle: a std::priority_queue popping ascending (time, seq).
+class HeapQueue {
+ public:
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
+  void push(const Ev& event) { heap_.push(event); }
+  const Ev& top() const { return heap_.top(); }
+  void pop() { heap_.pop(); }
+
+ private:
+  struct Later {
+    bool operator()(const Ev& a, const Ev& b) const {
+      return a.time != b.time ? a.time > b.time : a.seq > b.seq;
+    }
+  };
+  std::priority_queue<Ev, std::vector<Ev>, Later> heap_;
 };
 
 // Applies the same op script (push event / pop one) to a queue and records
@@ -57,7 +75,7 @@ std::vector<std::pair<double, long>> run_script(
 void expect_identical(const std::vector<std::pair<bool, Ev>>& ops,
                       double bucket_width) {
   CalendarEventQueue<Ev> calendar(bucket_width);
-  BinaryHeapEventQueue<Ev> heap;
+  HeapQueue heap;
   const auto from_calendar = run_script(calendar, ops);
   const auto from_heap = run_script(heap, ops);
   ASSERT_EQ(from_calendar.size(), from_heap.size());

@@ -30,6 +30,9 @@ MapReduceSpec long_stage() {
   return stage;
 }
 
+// A permanent crash of machine `m` at time `t`.
+FaultEvent crash(Seconds t, int m) { return {t, FaultType::kCrash, m}; }
+
 SimConfig base_sim() {
   SimConfig config;
   config.cluster = cluster_4x8();
@@ -51,7 +54,7 @@ TEST(Failure, MidRunFailureDelaysButCompletes) {
 
   SimConfig config = base_sim();
   // Kill three machines while maps are running.
-  config.machine_failure_events = {{5.0, 0}, {5.0, 1}, {7.0, 9}};
+  config.faults.events = {crash(5.0, 0), crash(5.0, 1), crash(7.0, 9)};
   YarnCapacityPolicy policy;
   const SimResult result = run_simulation(jobs, policy, config);
   EXPECT_GT(result.jobs[0].finish, 0);
@@ -70,7 +73,7 @@ TEST(Failure, LostMapOutputsDemoteReducePhase) {
   // Maps: 32 tasks on 64 slots -> one wave of ~20 s. Fail at 25 s, firmly
   // inside the shuffle/reduce phase.
   SimConfig config = base_sim();
-  config.machine_failure_events = {{25.0, 3}};
+  config.faults.events = {crash(25.0, 3)};
   YarnCapacityPolicy policy;
   const SimResult result = run_simulation(jobs, policy, config);
   EXPECT_EQ(result.jobs[0].reduce_durations.size(), 16u);
@@ -92,7 +95,7 @@ TEST(Failure, RackDegradationDropsCorralConstraintsMidRun) {
 
   SimConfig config = base_sim();
   for (int i = 0; i < 7; ++i) {  // 7 of 8 machines die at t=10s
-    config.machine_failure_events.push_back({10.0, target * 8 + i});
+    config.faults.events.push_back(crash(10.0, target * 8 + i));
   }
   CorralPolicy policy(&lookup);
   const SimResult result = run_simulation(jobs, policy, config);
@@ -122,7 +125,7 @@ TEST(Failure, ReplicaSourceDeathRestartsRemoteReads) {
   // LocalShuffle = plan constraints with *random* data placement: most
   // chunks live outside rack 2 and must stream in.
   for (int m = 0; m < 8; ++m) {  // kill all of rack 0 early
-    config.machine_failure_events.push_back({2.0, m});
+    config.faults.events.push_back(crash(2.0, m));
   }
   LocalShufflePolicy policy(&lookup);
   const SimResult result = run_simulation(jobs, policy, config);
@@ -135,7 +138,7 @@ TEST(Failure, WriteTargetDeathReissuesReplica) {
   SimConfig config = base_sim();
   config.write_output_replicas = true;
   // Failures sprinkled through the write-heavy tail of the job.
-  config.machine_failure_events = {{40.0, 12}, {45.0, 20}, {50.0, 28}};
+  config.faults.events = {crash(40.0, 12), crash(45.0, 20), crash(50.0, 28)};
   YarnCapacityPolicy policy;
   const SimResult result = run_simulation(jobs, policy, config);
   EXPECT_EQ(result.jobs[0].reduce_durations.size(), 16u);
@@ -147,7 +150,7 @@ TEST(Failure, IdleMachineFailureIsHarmless) {
       JobSpec::map_reduce(0, "mr", long_stage())};
   SimConfig config = base_sim();
   // A machine in a rack the (single-wave) job barely uses, failing late.
-  config.machine_failure_events = {{1e6, 31}};
+  config.faults.events = {crash(1e6, 31)};
   YarnCapacityPolicy policy;
   const SimResult result = run_simulation(jobs, policy, config);
   EXPECT_NEAR(result.makespan, baseline_makespan(), 1.0);
@@ -157,7 +160,7 @@ TEST(Failure, DoubleFailureOfSameMachineIsIdempotent) {
   const std::vector<JobSpec> jobs = {
       JobSpec::map_reduce(0, "mr", long_stage())};
   SimConfig config = base_sim();
-  config.machine_failure_events = {{5.0, 4}, {6.0, 4}, {8.0, 4}};
+  config.faults.events = {crash(5.0, 4), crash(6.0, 4), crash(8.0, 4)};
   YarnCapacityPolicy policy;
   const SimResult result = run_simulation(jobs, policy, config);
   EXPECT_GT(result.jobs[0].finish, 0);
@@ -173,8 +176,7 @@ TEST(Failure, ManyFailuresUnderVarys) {
   config.net_policy = NetPolicy::kVarys;
   config.write_output_replicas = true;
   for (int i = 0; i < 6; ++i) {
-    config.machine_failure_events.push_back(
-        {10.0 + 10.0 * i, 5 * i % 32});
+    config.faults.events.push_back(crash(10.0 + 10.0 * i, 5 * i % 32));
   }
   YarnCapacityPolicy policy;
   const SimResult result = run_simulation(jobs, policy, config);
@@ -186,9 +188,9 @@ TEST(Failure, RejectsBadFailureEvents) {
       JobSpec::map_reduce(0, "mr", long_stage())};
   YarnCapacityPolicy policy;
   SimConfig config = base_sim();
-  config.machine_failure_events = {{-1.0, 0}};
+  config.faults.events = {crash(-1.0, 0)};
   EXPECT_THROW(run_simulation(jobs, policy, config), std::invalid_argument);
-  config.machine_failure_events = {{1.0, 999}};
+  config.faults.events = {crash(1.0, 999)};
   EXPECT_THROW(run_simulation(jobs, policy, config), std::invalid_argument);
 }
 
@@ -196,7 +198,7 @@ TEST(Failure, DeterministicWithFailures) {
   const std::vector<JobSpec> jobs = {
       JobSpec::map_reduce(0, "mr", long_stage())};
   SimConfig config = base_sim();
-  config.machine_failure_events = {{5.0, 0}, {25.0, 9}};
+  config.faults.events = {crash(5.0, 0), crash(25.0, 9)};
   YarnCapacityPolicy policy_a, policy_b;
   const SimResult a = run_simulation(jobs, policy_a, config);
   const SimResult b = run_simulation(jobs, policy_b, config);

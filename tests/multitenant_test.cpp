@@ -1,8 +1,8 @@
 // The multi-tenant control-plane service (docs/control_plane.md
 // "Multi-tenant service"): the cross-tenant capacity arbiter, the sharded
 // admission queue's byte-identity contract across (shards, threads), the
-// single-tenant bit-compatibility anchor and the v2 service checkpoint's
-// kill/resume byte identity.
+// pinned single-tenant output and the v2 service checkpoint's kill/resume
+// byte identity.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -20,6 +20,7 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/hash.h"
 
 namespace corral {
 namespace {
@@ -206,37 +207,44 @@ TEST(MultiTenantDeterminism, ByteIdenticalAcrossShardsAndThreads) {
   }
 }
 
-// --- single-tenant bit compatibility -------------------------------------
+// --- single-tenant output pin ---------------------------------------------
 
-TEST(MultiTenantDeterminism, OneTenantServiceMatchesControlLoop) {
+TEST(MultiTenantDeterminism, OneTenantOutputMatchesPinnedDigest) {
+  // FNV-1a digests of the 1-tenant report, trace and metrics bytes for
+  // this config, pinned from the build where run_control_loop still ran
+  // its own epoch loop: both entry points (the run_control_loop wrapper
+  // and the service) must keep reproducing them exactly.
   ServiceConfig config = service_config(/*epochs=*/4, /*shards=*/1);
   config.loop.outages = {{2, 1}};
+  const std::string kReport = "6d2c67a5962fbf63";
+  const std::string kTrace = "58bbc56bd08e9d1e";
+  const std::string kMetrics = "f9dab01774515724";
 
-  // The classic single-tenant loop.
+  const ServiceArtifacts service = run_service(config, /*tenants=*/1,
+                                               /*width=*/2);
+  EXPECT_EQ(hex16(fnv1a(ctrl_report_json_string(service.result.combined))),
+            kReport);
+  EXPECT_EQ(hex16(fnv1a(service.trace_json)), kTrace);
+  EXPECT_EQ(hex16(fnv1a(service.metrics_json)), kMetrics);
+
   exec::ThreadPool pool(2);
   obs::TracerOptions options;
   options.level = obs::TraceLevel::kTasks;
-  obs::Tracer loop_tracer(options);
-  obs::MetricsRegistry loop_metrics;
+  obs::Tracer tracer(options);
+  obs::MetricsRegistry metrics;
   ControlLoopConfig loop = config.loop;
   loop.pool = &pool;
-  loop.tracer = &loop_tracer;
-  loop.metrics = &loop_metrics;
+  loop.tracer = &tracer;
+  loop.metrics = &metrics;
   const ControlLoopResult direct = run_control_loop(
       make_recurring_fleet(tenant_fleet_config(), loop.warmup_days,
                            loop.epochs, loop.seed),
       loop);
-  std::ostringstream loop_metrics_json;
-  obs::write_metrics_json(loop_metrics_json, loop_metrics);
-
-  // The same run through the service: tenant 0 keeps the base seed, sink
-  // base 0 and an empty label prefix, so every artifact is bit-identical.
-  const ServiceArtifacts service = run_service(config, /*tenants=*/1,
-                                               /*width=*/2);
-  EXPECT_EQ(ctrl_report_json_string(service.result.combined),
-            ctrl_report_json_string(direct));
-  EXPECT_EQ(service.trace_json, obs::chrome_trace_string(loop_tracer));
-  EXPECT_EQ(service.metrics_json, loop_metrics_json.str());
+  std::ostringstream metrics_json;
+  obs::write_metrics_json(metrics_json, metrics);
+  EXPECT_EQ(hex16(fnv1a(ctrl_report_json_string(direct))), kReport);
+  EXPECT_EQ(hex16(fnv1a(obs::chrome_trace_string(tracer))), kTrace);
+  EXPECT_EQ(hex16(fnv1a(metrics_json.str())), kMetrics);
 }
 
 // --- arbitration under outage --------------------------------------------
@@ -397,32 +405,31 @@ TEST(MultiTenantDeterminism, MixedNetPoliciesKillAndResumeIsByteIdentical) {
 
 // --- v2 checkpoint format ------------------------------------------------
 
-TEST(MultiTenantDeterminism, ServiceCheckpointRejectsV1AndViceVersa) {
-  CheckpointState single;
-  single.config_fingerprint = 7;
-  single.planning_inputs = {{1.0, 2.0}};
-  single.histories = {{}};
-  const std::string v1 = serialize_checkpoint(single);
-  EXPECT_THROW(deserialize_service_checkpoint(v1), std::invalid_argument);
-
+TEST(MultiTenantDeterminism, ServiceCheckpointRoundTripsAndRejectsV1) {
   ServiceCheckpointState service;
   service.config_fingerprint = 7;
   service.next_epoch = 2;
   service.tenants.resize(2);
-  service.tenants[0].planning_inputs = {{1.0, 2.0}};
-  service.tenants[0].histories = {{}};
+  service.tenants[0].pipelines.resize(1);
+  service.tenants[0].pipelines[0].planning_inputs = {1.0, 2.0};
   const std::string v2 = serialize_service_checkpoint(service);
-  EXPECT_THROW(deserialize_checkpoint(v2), std::invalid_argument);
 
   const ServiceCheckpointState round =
       deserialize_service_checkpoint(v2);
   EXPECT_EQ(round.config_fingerprint, 7u);
   EXPECT_EQ(round.next_epoch, 2);
   ASSERT_EQ(round.tenants.size(), 2u);
-  ASSERT_EQ(round.tenants[0].planning_inputs.size(), 1u);
-  EXPECT_EQ(round.tenants[0].planning_inputs[0][0], 1.0);
+  ASSERT_EQ(round.tenants[0].pipelines.size(), 1u);
+  EXPECT_EQ(round.tenants[0].pipelines[0].planning_inputs[0], 1.0);
   // Round trip is byte-stable.
   EXPECT_EQ(serialize_service_checkpoint(round), v2);
+
+  // A file of the retired v1 format fails on its magic, even re-sealed
+  // with a valid checksum.
+  std::string v1 = v2.substr(0, v2.rfind("checksum "));
+  v1.replace(v1.find(" v2\n"), 4, " v1\n");
+  v1 += "checksum " + hex16(fnv1a(v1)) + "\n";
+  EXPECT_THROW(deserialize_service_checkpoint(v1), std::invalid_argument);
 }
 
 TEST(MultiTenantDeterminism, ResumeRefusesMismatchedTenantSet) {

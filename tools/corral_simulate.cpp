@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
                 result.total_cross_rack_bytes / kTB);
     std::printf("compute hours:     %.1f h\n", result.total_compute_hours);
     std::printf("input balance CoV: %.4f\n", result.input_balance_cov);
-    if (!sim.faults.empty() || !sim.machine_failure_events.empty()) {
+    if (!sim.faults.empty()) {
       std::printf("jobs failed:       %d\n", result.jobs_failed);
       std::printf("tasks killed:      %d\n", result.tasks_killed);
       std::printf("maps rerun:        %d\n", result.maps_rerun);

@@ -84,10 +84,6 @@ void add_outage_flags(FlagParser& flags) {
   flags.add_string_list("outage",
                         "injected whole-rack outage as epoch:rack "
                         "(repeatable)");
-  flags.add_int("outage-epoch", -1,
-                "legacy alias for --outage; epoch with an injected "
-                "whole-rack outage; -1 = none");
-  flags.add_int("outage-rack", 0, "rack taken down by --outage-epoch");
 }
 
 namespace {
@@ -114,11 +110,6 @@ std::vector<RackOutage> outages_from_flags(const FlagParser& flags) {
   std::vector<RackOutage> outages;
   for (const std::string& token : flags.get_string_list("outage")) {
     outages.push_back(parse_outage(token));
-  }
-  if (flags.get_int("outage-epoch") >= 0) {
-    outages.push_back(
-        RackOutage{static_cast<int>(flags.get_int("outage-epoch")),
-                   static_cast<int>(flags.get_int("outage-rack"))});
   }
   return outages;
 }

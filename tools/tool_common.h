@@ -62,13 +62,10 @@ void add_output_flags(FlagParser& flags, const OutputFlagSet& set = {});
 ToolObservability apply_output_flags(const FlagParser& flags,
                                      const OutputFlagSet& set = {});
 
-// Registers the rack-outage flag block: --outage epoch:rack (repeatable,
-// canonical) plus the legacy --outage-epoch / --outage-rack aliases kept
-// for old scripts.
+// Registers the rack-outage flag: --outage epoch:rack (repeatable).
 void add_outage_flags(FlagParser& flags);
 
-// Parses the registered outage flags into one schedule: every --outage
-// token in order, then the legacy alias pair if set. Throws
+// Parses every --outage token, in order, into one schedule. Throws
 // std::invalid_argument on malformed tokens.
 std::vector<RackOutage> outages_from_flags(const FlagParser& flags);
 
