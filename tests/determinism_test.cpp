@@ -5,15 +5,24 @@
 // and runs every region inline on the caller.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "corral/latency_model.h"
 #include "corral/planner.h"
 #include "corral/whatif.h"
 #include "exec/exec.h"
+#include "obs/export.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "sim/batch.h"
+#include "sim/result_io.h"
 #include "sim/simulator.h"
+#include "util/hash.h"
 #include "workload/workloads.h"
 
 namespace corral {
@@ -181,6 +190,301 @@ TEST(Determinism, BatchRunnerIsByteIdenticalAcrossWidths) {
       }
     }
   }
+}
+
+// --- pinned simulator outputs ---------------------------------------------
+//
+// FNV-1a digests of three artifacts of one simulation — the results CSV,
+// the metrics JSON and the Chrome trace at kFlows — for four small configs
+// that each drive one branch of the task-attempt lifecycle: speculation,
+// crash recovery with replica writes, DAG fan-in under Corral, and job
+// failure. A refactor of the simulator must leave all twelve unchanged;
+// each config also checks from its own trace that its branch really fired.
+
+struct SimArtifacts {
+  SimResult result;
+  std::vector<obs::TraceEvent> events;
+  std::string csv;
+  std::string metrics;
+  std::string trace;
+};
+
+SimArtifacts run_traced(const std::vector<JobSpec>& jobs,
+                        SchedulingPolicy& policy, SimConfig config) {
+  obs::TracerOptions options;
+  options.level = obs::TraceLevel::kFlows;
+  obs::Tracer tracer(options);
+  obs::MetricsRegistry metrics;
+  config.tracer = &tracer;
+  config.metrics = &metrics;
+  SimArtifacts out;
+  out.result = run_simulation(jobs, policy, config);
+  EXPECT_EQ(tracer.total_dropped(), 0u);
+  for (const obs::TraceSink* sink : tracer.sinks()) {
+    for (obs::TraceEvent& event : sink->events()) {
+      out.events.push_back(std::move(event));
+    }
+  }
+  std::ostringstream csv;
+  write_results_csv(csv, out.result);
+  out.csv = csv.str();
+  std::ostringstream metrics_json;
+  obs::write_metrics_json(metrics_json, metrics);
+  out.metrics = metrics_json.str();
+  out.trace = obs::chrome_trace_string(tracer);
+  return out;
+}
+
+void expect_digests(const SimArtifacts& run, const std::string& csv,
+                    const std::string& metrics, const std::string& trace) {
+  EXPECT_EQ(hex16(fnv1a(run.csv)), csv);
+  EXPECT_EQ(hex16(fnv1a(run.metrics)), metrics);
+  EXPECT_EQ(hex16(fnv1a(run.trace)), trace);
+}
+
+double trace_arg(const obs::TraceEvent& event, const std::string& key) {
+  for (const obs::TraceArg& arg : event.args) {
+    if (arg.key == key) return arg.num;
+  }
+  return -1;
+}
+
+std::string trace_str(const obs::TraceEvent& event, const std::string& key) {
+  for (const obs::TraceArg& arg : event.args) {
+    if (arg.key == key) return arg.str;
+  }
+  return {};
+}
+
+using TaskKey = std::tuple<int, int, int>;  // job id, stage, task
+
+TaskKey task_key(const obs::TraceEvent& event) {
+  return {static_cast<int>(trace_arg(event, "job")),
+          static_cast<int>(trace_arg(event, "stage")),
+          static_cast<int>(trace_arg(event, "task"))};
+}
+
+// Two attempts of one task can only be told apart in the trace by their
+// straggler instants: a straggling attempt on another machine than the
+// task's winning span is the losing copy of a speculated task. It is the
+// primary (so the backup won) when it started before the winner, and the
+// backup (so the primary won) when it started after. Valid only for runs
+// without machine faults, where a task has at most two attempts.
+struct SpeculationEvidence {
+  int map_backups = 0;
+  int reduce_backups = 0;
+  int backup_wins = 0;
+  int primary_wins = 0;
+};
+
+SpeculationEvidence speculation_evidence(
+    const std::vector<obs::TraceEvent>& events) {
+  std::map<TaskKey, const obs::TraceEvent*> map_spans;
+  std::map<TaskKey, const obs::TraceEvent*> reduce_spans;
+  std::map<std::pair<int, int>, double> maps_done;  // (job, stage) -> time
+  for (const obs::TraceEvent& event : events) {
+    if (event.phase != obs::TracePhase::kSpan) continue;
+    const TaskKey key = task_key(event);
+    if (event.name == "map") {
+      map_spans[key] = &event;
+      double& done = maps_done[{std::get<0>(key), std::get<1>(key)}];
+      done = std::max(done, event.ts + event.dur);
+    } else if (event.name == "reduce") {
+      reduce_spans[key] = &event;
+    }
+  }
+  SpeculationEvidence evidence;
+  for (const obs::TraceEvent& event : events) {
+    if (event.name != "straggler") continue;
+    const TaskKey key = task_key(event);
+    // Map attempts all launch before the stage's last map completes;
+    // reduce attempts launch at or after it.
+    const bool is_map =
+        event.ts < maps_done[{std::get<0>(key), std::get<1>(key)}];
+    const auto& spans = is_map ? map_spans : reduce_spans;
+    const auto it = spans.find(key);
+    if (it == spans.end() || it->second->tid == event.tid) continue;
+    ++(is_map ? evidence.map_backups : evidence.reduce_backups);
+    ++(it->second->ts > event.ts ? evidence.backup_wins
+                                 : evidence.primary_wins);
+  }
+  return evidence;
+}
+
+ClusterConfig digest_cluster() {
+  ClusterConfig config;
+  config.racks = 4;
+  config.machines_per_rack = 4;
+  config.slots_per_machine = 2;  // 32 slots
+  config.nic_bandwidth = 1 * kGbps;
+  config.oversubscription = 4.0;
+  return config;
+}
+
+MapReduceSpec digest_stage(int maps, int reduces) {
+  MapReduceSpec stage;
+  stage.input_bytes = maps * 500 * kMB;  // 20 s per healthy map
+  stage.shuffle_bytes = maps * 200 * kMB;
+  stage.output_bytes = reduces * 250 * kMB;
+  stage.num_maps = maps;
+  stage.num_reduces = reduces;
+  stage.map_rate = 25 * kMB;
+  stage.reduce_rate = 25 * kMB;
+  return stage;
+}
+
+TEST(SimDigest, SpeculationBothPhases) {
+  std::vector<JobSpec> jobs;
+  for (int i = 0; i < 3; ++i) {
+    jobs.push_back(JobSpec::map_reduce(i, "spec" + std::to_string(i),
+                                       digest_stage(40, 24), 15.0 * i));
+  }
+  SimConfig config;
+  config.cluster = digest_cluster();
+  config.seed = 7;
+  config.faults.straggler_frac = 0.3;
+  config.faults.straggler_slowdown = 6.0;
+  config.enable_speculation = true;
+  config.speculation_cap = 1.0;
+  YarnCapacityPolicy policy;
+  const SimArtifacts run = run_traced(jobs, policy, config);
+
+  EXPECT_EQ(run.result.jobs_failed, 0);
+  EXPECT_GT(run.result.speculative_launched, 0);
+  const SpeculationEvidence evidence = speculation_evidence(run.events);
+  EXPECT_GT(evidence.map_backups, 0);
+  EXPECT_GT(evidence.reduce_backups, 0);
+  EXPECT_GT(evidence.backup_wins, 0);
+  EXPECT_GT(evidence.primary_wins, 0);
+  expect_digests(run, "cdd094ce958c1bce", "7d195f2268eb3db8",
+                 "00ff3e5f644ce5f9");
+}
+
+TEST(SimDigest, CrashDuringReduceWaveWithWrites) {
+  // Three crashes, each healed a minute later: the first two kill replica
+  // write targets of the small job's reduces, the third lands on map
+  // output of the large job after its first reduce wave finished.
+  const std::vector<JobSpec> jobs = {
+      JobSpec::map_reduce(0, "small", digest_stage(8, 48)),
+      JobSpec::map_reduce(1, "large", digest_stage(24, 48), 10.0)};
+  SimConfig config;
+  config.cluster = digest_cluster();
+  config.seed = 11;
+  config.write_output_replicas = true;
+  const std::pair<Seconds, int> crashes[] = {{50, 7}, {80, 1}, {135, 5}};
+  for (const auto& [time, machine] : crashes) {
+    config.faults.events.push_back({time, FaultType::kCrash, machine});
+    config.faults.events.push_back({time + 60, FaultType::kRecover, machine});
+  }
+  YarnCapacityPolicy policy;
+  const SimArtifacts run = run_traced(jobs, policy, config);
+
+  EXPECT_EQ(run.result.jobs_failed, 0);
+  EXPECT_EQ(run.result.speculative_launched, 0);
+  EXPECT_GT(run.result.tasks_killed, 0);
+  EXPECT_GT(run.result.maps_rerun, 0);
+  EXPECT_GT(run.result.bytes_rereplicated, 0);
+  // A demotion back to the map phase: some map starts after a reduce of
+  // the same stage started.
+  std::map<std::pair<int, int>, double> first_reduce;
+  for (const obs::TraceEvent& event : run.events) {
+    if (event.name != "reduce") continue;
+    const auto [job, stage, task] = task_key(event);
+    const auto [it, fresh] = first_reduce.emplace(std::pair{job, stage},
+                                                  event.ts);
+    if (!fresh) it->second = std::min(it->second, event.ts);
+  }
+  int demoted_maps = 0;
+  for (const obs::TraceEvent& event : run.events) {
+    if (event.name != "map") continue;
+    const auto [job, stage, task] = task_key(event);
+    const auto it = first_reduce.find({job, stage});
+    if (it != first_reduce.end() && event.ts > it->second) ++demoted_maps;
+  }
+  EXPECT_GT(demoted_maps, 0);
+  // A replica write whose target died is re-issued at the same instant.
+  int reissued_writes = 0;
+  for (const obs::TraceEvent& cancel : run.events) {
+    if (cancel.name != "flow-cancelled" ||
+        trace_str(cancel, "kind") != "write-replica") {
+      continue;
+    }
+    for (const obs::TraceEvent& event : run.events) {
+      if (event.name == "write-replica" && event.ts == cancel.ts) {
+        ++reissued_writes;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(reissued_writes, 0);
+  expect_digests(run, "0469700278850352", "9888707ccc51ffc7",
+                 "7d2cb68eabc0f0e2");
+}
+
+TEST(SimDigest, DagFanInUnderCorral) {
+  // Two source stages join into a third, which feeds a fourth: stages 2
+  // and 3 fetch their input from every rack holding parent output.
+  std::vector<JobSpec> jobs;
+  for (int i = 0; i < 3; ++i) {
+    JobSpec job;
+    job.id = i;
+    job.name = "dag" + std::to_string(i);
+    job.arrival = 20.0 * i;
+    job.stages = {digest_stage(16, 8), digest_stage(12, 6),
+                  digest_stage(10, 6), digest_stage(6, 4)};
+    job.edges = {{0, 2}, {1, 2}, {2, 3}};
+    jobs.push_back(std::move(job));
+  }
+  SimConfig config;
+  config.cluster = digest_cluster();
+  config.seed = 13;
+  const Plan plan = plan_offline(jobs, config.cluster, PlannerConfig{});
+  const PlanLookup lookup(jobs, plan);
+  CorralPolicy policy(&lookup);
+  const SimArtifacts run = run_traced(jobs, policy, config);
+
+  EXPECT_EQ(run.result.jobs_failed, 0);
+  int fanin_fetches = 0;
+  for (const obs::TraceEvent& event : run.events) {
+    if (event.name == "map-fetch" && trace_arg(event, "stage") >= 2) {
+      ++fanin_fetches;
+    }
+  }
+  EXPECT_GT(fanin_fetches, 0);
+  expect_digests(run, "fae58bfa1d5f2f2e", "ebcbe81f1d0a5ac0",
+                 "18e547c8b4955a17");
+}
+
+TEST(SimDigest, JobFailsWithLiveAttempts) {
+  // Single-replica input and a crash mid-stage: a lost chunk's map can
+  // never rerun, so its job fails while its other maps (and their
+  // speculative backups) are still running; the second job survives.
+  std::vector<JobSpec> jobs = {
+      JobSpec::map_reduce(0, "doomed", digest_stage(48, 16)),
+      JobSpec::map_reduce(1, "survivor", digest_stage(16, 8), 5.0)};
+  SimConfig config;
+  config.cluster = digest_cluster();
+  config.seed = 17;
+  config.dfs.replicas = 1;
+  config.faults.straggler_frac = 0.3;
+  config.faults.straggler_slowdown = 6.0;
+  config.enable_speculation = true;
+  config.speculation_cap = 1.0;
+  config.faults.events.push_back({45.0, FaultType::kCrash, 3});
+  YarnCapacityPolicy policy;
+  const SimArtifacts run = run_traced(jobs, policy, config);
+
+  EXPECT_EQ(run.result.jobs_failed, 1);
+  EXPECT_TRUE(run.result.jobs[0].failed);
+  EXPECT_GT(run.result.jobs[0].speculative_launched, 0);
+  EXPECT_GT(run.result.chunks_lost, 0);
+  int failed_instants = 0;
+  for (const obs::TraceEvent& event : run.events) {
+    if (event.name == "job-failed") ++failed_instants;
+  }
+  EXPECT_EQ(failed_instants, 1);
+  expect_digests(run, "bf0ff0f535149b0a", "69fe9b04b7c26d76",
+                 "c5ae406320f3f887");
 }
 
 }  // namespace
