@@ -6,6 +6,9 @@
 // backups for them.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "obs/trace.h"
 #include "sim/simulator.h"
 
 namespace corral {
@@ -118,6 +121,49 @@ TEST(Speculation, NoStragglersMeansNoRngPerturbation) {
   EXPECT_DOUBLE_EQ(plain.makespan, zeroed.makespan);
   EXPECT_EQ(plain.stragglers_injected, 0);
   EXPECT_EQ(zeroed.stragglers_injected, 0);
+}
+
+TEST(Speculation, EveryReduceFinishesExactlyOnceUnderReplicaWrites) {
+  // With replica writes on, a reduce holds its slot after computing while
+  // its off-rack copy streams out. The winner of a speculated reduce is
+  // decided when it computes, and a reduce that has computed gets no
+  // backup: otherwise a late backup "wins" after the primary's write has
+  // already finished the task, the reduce is counted twice, and the stage
+  // completes while other reduces are still unfinished.
+  MapReduceSpec stage = two_wave_stage();
+  stage.output_bytes = 4 * kGB;
+  stage.num_reduces = 24;
+  const std::vector<JobSpec> jobs = {JobSpec::map_reduce(0, "mr", stage)};
+  SimConfig config = straggler_sim(0.3, 8.0);
+  config.seed = 3;
+  config.write_output_replicas = true;
+  config.enable_speculation = true;
+  config.speculation_cap = 1.0;
+  obs::TracerOptions options;
+  options.level = obs::TraceLevel::kTasks;
+  obs::Tracer tracer(options);
+  config.tracer = &tracer;
+  YarnCapacityPolicy policy;
+  const SimResult result = run_simulation(jobs, policy, config);
+  EXPECT_GT(result.speculative_launched, 0);
+  EXPECT_EQ(result.jobs_failed, 0);
+
+  std::vector<int> reduce_spans(static_cast<std::size_t>(stage.num_reduces));
+  for (const obs::TraceSink* sink : tracer.sinks()) {
+    for (const obs::TraceEvent& event : sink->events()) {
+      if (event.phase != obs::TracePhase::kSpan || event.name != "reduce") {
+        continue;
+      }
+      for (const obs::TraceArg& arg : event.args) {
+        if (arg.key == "task") {
+          ++reduce_spans[static_cast<std::size_t>(arg.num)];
+        }
+      }
+    }
+  }
+  for (std::size_t t = 0; t < reduce_spans.size(); ++t) {
+    EXPECT_EQ(reduce_spans[t], 1) << "reduce " << t;
+  }
 }
 
 }  // namespace
