@@ -18,8 +18,6 @@
 // deterministic, so the JSON in BENCH_chaos.json is byte-identical across
 // hosts and --threads. Run with --smoke for the tiny CI variant.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 
 #include "bench_common.h"
 #include "ctrl/control_loop.h"
@@ -42,35 +40,27 @@ void print_row(const char* name, const ControlLoopResult& r) {
               r.exec_retries, r.fallbacks, r.demotions);
 }
 
-void emit_series(std::ofstream& out, const ControlLoopResult& r) {
-  out << "{\"epochs_completed\": " << r.epochs_completed
-      << ", \"epochs_aborted\": " << r.epochs_aborted
-      << ", \"mean_prediction_error\": " << r.mean_prediction_error
-      << ", \"chaos_events\": " << r.chaos_events
-      << ", \"quarantined\": " << r.quarantined
-      << ", \"exec_retries\": " << r.exec_retries
-      << ", \"fallbacks\": " << r.fallbacks
-      << ", \"overruns\": " << r.overruns
-      << ", \"demotions\": " << r.demotions
-      << ", \"promotions\": " << r.promotions
-      << ", \"per_epoch_error\": [";
-  for (std::size_t i = 0; i < r.epochs.size(); ++i) {
-    out << (i > 0 ? "," : "") << r.epochs[i].mean_prediction_error;
+bench::Json series_json(const ControlLoopResult& r) {
+  bench::Json per_epoch_error;
+  bench::Json per_epoch_aborted;
+  for (const EpochReport& epoch : r.epochs) {
+    per_epoch_error.push(epoch.mean_prediction_error);
+    per_epoch_aborted.push(epoch.aborted ? 1 : 0);
   }
-  out << "], \"per_epoch_aborted\": [";
-  for (std::size_t i = 0; i < r.epochs.size(); ++i) {
-    out << (i > 0 ? "," : "") << (r.epochs[i].aborted ? 1 : 0);
-  }
-  out << "]}";
+  return {{"epochs_completed", r.epochs_completed},
+          {"epochs_aborted", r.epochs_aborted},
+          {"mean_prediction_error", r.mean_prediction_error},
+          {"chaos_events", r.chaos_events}, {"quarantined", r.quarantined},
+          {"exec_retries", r.exec_retries}, {"fallbacks", r.fallbacks},
+          {"overruns", r.overruns}, {"demotions", r.demotions},
+          {"promotions", r.promotions}, {"per_epoch_error", per_epoch_error},
+          {"per_epoch_aborted", per_epoch_aborted}};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  const bool smoke = bench::parse_smoke_flag(argc, argv);
   bench::banner("Control plane - resilience under fault injection",
                 "guardrails keep the loop planning while chaos rages");
 
@@ -119,19 +109,11 @@ int main(int argc, char** argv) {
               100.0 * chaos.mean_prediction_error,
               100.0 * clean.mean_prediction_error);
 
-  std::ofstream out("BENCH_chaos.json");
-  out << "{\n  \"bench\": \"chaos\",\n"
-      << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-      << "  \"epochs\": " << base.epochs << ",\n"
-      << "  \"jobs\": " << workload.num_jobs << ",\n"
-      << "  \"chaos_seed\": 7,\n"
-      << "  \"clean\": ";
-  emit_series(out, clean);
-  out << ",\n  \"chaos\": ";
-  emit_series(out, chaos);
-  out << ",\n  \"chaos_resilience\": ";
-  emit_series(out, resilient);
-  out << "\n}\n";
-  std::printf("\nseries written to BENCH_chaos.json\n");
+  bench::write_series("chaos", {{"smoke", smoke}, {"epochs", base.epochs},
+                                {"jobs", workload.num_jobs},
+                                {"chaos_seed", chaotic.chaos_seed},
+                                {"clean", series_json(clean)},
+                                {"chaos", series_json(chaos)},
+                                {"chaos_resilience", series_json(resilient)}});
   return 0;
 }

@@ -13,12 +13,17 @@
 #ifndef CORRAL_BENCH_BENCH_COMMON_H_
 #define CORRAL_BENCH_BENCH_COMMON_H_
 
-#include <optional>
+#include <initializer_list>
+#include <map>
 #include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "corral/lp_bound.h"
 #include "exec/exec.h"
+#include "obs/export.h"
 #include "obs/trace.h"
 #include "sim/batch.h"
 #include "sim/simulator.h"
@@ -107,6 +112,60 @@ void print_cdf(const std::string& title, const std::vector<double>& samples,
 
 // Prints the standard bench header.
 void banner(const std::string& figure, const std::string& claim);
+
+// The command line of a bench whose one flag is --smoke (a reduced workload
+// for CI); returns whether it was given. An unknown or malformed flag prints
+// usage and exits 1.
+bool parse_smoke_flag(int argc, char** argv);
+
+// One value of a bench series: a number, bool, string, array or object.
+class Json {
+ public:
+  using Member = std::pair<std::string, Json>;
+
+  Json() = default;  // an empty array
+  template <typename T>
+    requires(std::is_arithmetic_v<T> && !std::is_same_v<T, bool>)
+  Json(T number) : json_(obs::format_double(static_cast<double>(number))) {}
+  Json(bool flag) : json_(flag ? "true" : "false") {}
+  Json(const std::string& text) : json_('"' + obs::json_escape(text) + '"') {}
+  Json(const char* text) : Json(std::string(text)) {}
+  // An object; members keep this order, then the order of set().
+  Json(std::initializer_list<Member> members);
+
+  void push(Json value);                   // arrays
+  Json& set(std::string key, Json value);  // objects
+
+  // The one layout of every bench file: the top level and each container
+  // that holds a container put one value per line, indented two spaces per
+  // level; other containers stay on one line. Non-finite numbers are null.
+  std::string dump() const;
+
+ private:
+  friend void write_series(const std::string& name, const Json& series);
+
+  void render(std::string& out, int depth) const;
+
+  std::string json_;  // a scalar's JSON text; empty for containers
+  bool object_ = false;
+  std::vector<std::string> keys_;  // objects: the key of each value
+  std::vector<Json> values_;
+};
+
+// Writes `value.dump()` to `path`; a failed open or write prints a one-line
+// error and exits 1.
+void write_json(const std::string& path, const Json& value);
+
+// Writes the object `series` to BENCH_<name>.json behind "bench": name and a
+// "manifest" of the build (build type, compiler, hardware threads), and
+// prints where it went.
+void write_series(const std::string& name, const Json& series);
+
+// Strict reader for a flat object as write_json emits it: each key once,
+// each value a string without escapes, a bool, null or a number. Returns
+// each member's number, NaN for the other values. Throws
+// std::invalid_argument naming the path and, past the first key, the key.
+std::map<std::string, double> read_flat_json(const std::string& path);
 
 }  // namespace corral::bench
 

@@ -14,8 +14,6 @@
 // BENCH_ctrl_loop.json.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 
 #include "bench_common.h"
 #include "ctrl/control_loop.h"
@@ -48,13 +46,18 @@ std::size_t total_evals(const ControlLoopResult& result) {
   return total;
 }
 
+bench::Json per_epoch_evals(const ControlLoopResult& result) {
+  bench::Json evals;
+  for (const EpochReport& epoch : result.epochs) {
+    evals.push(epoch.replan_cost_evals);
+  }
+  return evals;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  const bool smoke = bench::parse_smoke_flag(argc, argv);
   bench::banner("Control plane - plan-cache effect over recurring epochs",
                 "plan once, reuse while the forecast holds (§2, §3.1)");
 
@@ -95,35 +98,23 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(cached.result.rf_hits),
               static_cast<unsigned long long>(cached.result.rf_misses));
 
-  std::ofstream out("BENCH_ctrl_loop.json");
-  out << "{\n  \"bench\": \"ctrl_loop\",\n"
-      << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-      << "  \"epochs\": " << config.epochs << ",\n"
-      << "  \"jobs\": " << workload.num_jobs << ",\n"
-      << "  \"outage_epoch\": " << config.outages[0].epoch << ",\n"
-      << "  \"cached\": {\"hits\": " << cached.result.cache.hits
-      << ", \"misses\": " << cached.result.cache.misses
-      << ", \"invalidations\": " << cached.result.cache.invalidations
-      << ", \"replan_evals\": " << total_evals(cached.result)
-      << ", \"rf_hits\": " << cached.result.rf_hits
-      << ", \"rf_misses\": " << cached.result.rf_misses
-      << ", \"hit_rate_after_2\": " << cached.result.hit_rate_after(2)
-      << ", \"mean_prediction_error\": "
-      << cached.result.mean_prediction_error
-      << ", \"wall_s\": " << cached.wall_seconds << "},\n"
-      << "  \"replan_every_epoch\": {\"hits\": " << scratch.result.cache.hits
-      << ", \"misses\": " << scratch.result.cache.misses
-      << ", \"replan_evals\": " << total_evals(scratch.result)
-      << ", \"wall_s\": " << scratch.wall_seconds << "},\n"
-      << "  \"per_epoch_replan_evals\": {\"cached\": [";
-  for (std::size_t i = 0; i < cached.result.epochs.size(); ++i) {
-    out << (i > 0 ? "," : "") << cached.result.epochs[i].replan_cost_evals;
-  }
-  out << "], \"replan\": [";
-  for (std::size_t i = 0; i < scratch.result.epochs.size(); ++i) {
-    out << (i > 0 ? "," : "") << scratch.result.epochs[i].replan_cost_evals;
-  }
-  out << "]}\n}\n";
-  std::printf("\nseries written to BENCH_ctrl_loop.json\n");
+  const ControlLoopResult& c = cached.result;
+  const ControlLoopResult& r = scratch.result;
+  bench::write_series(
+      "ctrl_loop",
+      {{"smoke", smoke}, {"epochs", config.epochs},
+       {"jobs", workload.num_jobs}, {"outage_epoch", config.outages[0].epoch},
+       {"cached",
+        {{"hits", c.cache.hits}, {"misses", c.cache.misses},
+         {"invalidations", c.cache.invalidations},
+         {"replan_evals", total_evals(c)}, {"rf_hits", c.rf_hits},
+         {"rf_misses", c.rf_misses}, {"hit_rate_after_2", c.hit_rate_after(2)},
+         {"mean_prediction_error", c.mean_prediction_error},
+         {"wall_s", cached.wall_seconds}}},
+       {"replan_every_epoch",
+        {{"hits", r.cache.hits}, {"misses", r.cache.misses},
+         {"replan_evals", total_evals(r)}, {"wall_s", scratch.wall_seconds}}},
+       {"per_epoch_replan_evals",
+        {{"cached", per_epoch_evals(c)}, {"replan", per_epoch_evals(r)}}}});
   return 0;
 }

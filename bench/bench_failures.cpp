@@ -11,7 +11,6 @@
 // fault-free run plus the recovery counters, and emits the series as
 // BENCH_failures.json for plotting.
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -22,21 +21,19 @@ using namespace corral;
 
 namespace {
 
-void emit_policy_json(std::ofstream& out, const std::string& name,
-                      const SimResult& result, double healthy_makespan) {
-  out << "    \"" << name << "\": {"
-      << "\"makespan_s\": " << result.makespan
-      << ", \"makespan_inflation\": "
-      << (healthy_makespan > 0 ? result.makespan / healthy_makespan : 1.0)
-      << ", \"avg_completion_s\": " << result.avg_completion()
-      << ", \"jobs_failed\": " << result.jobs_failed
-      << ", \"tasks_killed\": " << result.tasks_killed
-      << ", \"maps_rerun\": " << result.maps_rerun
-      << ", \"speculative_launched\": " << result.speculative_launched
-      << ", \"speculative_wasted_s\": " << result.speculative_wasted_seconds
-      << ", \"bytes_rereplicated\": " << result.bytes_rereplicated
-      << ", \"chunks_lost\": " << result.chunks_lost
-      << ", \"degraded_time_s\": " << result.degraded_time << "}";
+bench::Json policy_json(const SimResult& result, double healthy_makespan) {
+  return {{"makespan_s", result.makespan},
+          {"makespan_inflation",
+           healthy_makespan > 0 ? result.makespan / healthy_makespan : 1.0},
+          {"avg_completion_s", result.avg_completion()},
+          {"jobs_failed", result.jobs_failed},
+          {"tasks_killed", result.tasks_killed},
+          {"maps_rerun", result.maps_rerun},
+          {"speculative_launched", result.speculative_launched},
+          {"speculative_wasted_s", result.speculative_wasted_seconds},
+          {"bytes_rereplicated", result.bytes_rereplicated},
+          {"chunks_lost", result.chunks_lost},
+          {"degraded_time_s", result.degraded_time}};
 }
 
 }  // namespace
@@ -118,67 +115,52 @@ int main() {
   }
   const std::vector<BatchResult> batch = bench::run_traced(cases);
 
-  struct SweepPoint {
-    double mtbf_hours = 0;  // 0 = no churn
-    SimResult yarn;
-    SimResult corral;
-    SimResult repair;
+  // batch[3 * i + p]: MTBF point i under policy p (yarn, corral, repair);
+  // point 0 is the healthy run.
+  const auto run = [&](std::size_t i, std::size_t p) -> const SimResult& {
+    return batch[3 * i + p].result;
   };
-  std::vector<SweepPoint> sweep;
-  for (std::size_t i = 0; i < mtbf_hours.size(); ++i) {
-    SweepPoint point;
-    point.mtbf_hours = mtbf_hours[i];
-    point.yarn = batch[3 * i + 0].result;
-    point.corral = batch[3 * i + 1].result;
-    point.repair = batch[3 * i + 2].result;
-    sweep.push_back(std::move(point));
-  }
-
-  const double yarn_healthy = sweep[0].yarn.makespan;
-  const double corral_healthy = sweep[0].corral.makespan;
-  const double repair_healthy = sweep[0].repair.makespan;
+  const std::size_t harshest = mtbf_hours.size() - 1;
 
   std::printf("\n%-12s %28s %28s\n", "",
               "makespan inflation (x healthy)", "tasks killed / maps rerun");
   std::printf("%-12s %9s %9s %9s %9s %9s %9s\n", "MTBF", "yarn", "corral",
               "repair", "yarn", "corral", "repair");
-  for (const SweepPoint& point : sweep) {
+  for (std::size_t i = 0; i < mtbf_hours.size(); ++i) {
     char label[32];
-    if (point.mtbf_hours > 0) {
-      std::snprintf(label, sizeof(label), "%.1f h", point.mtbf_hours);
+    if (mtbf_hours[i] > 0) {
+      std::snprintf(label, sizeof(label), "%.1f h", mtbf_hours[i]);
     } else {
       std::snprintf(label, sizeof(label), "none");
     }
     std::printf("%-12s %9.2f %9.2f %9.2f %4d/%-4d %4d/%-4d %4d/%-4d\n",
-                label, point.yarn.makespan / yarn_healthy,
-                point.corral.makespan / corral_healthy,
-                point.repair.makespan / repair_healthy,
-                point.yarn.tasks_killed, point.yarn.maps_rerun,
-                point.corral.tasks_killed, point.corral.maps_rerun,
-                point.repair.tasks_killed, point.repair.maps_rerun);
+                label, run(i, 0).makespan / run(0, 0).makespan,
+                run(i, 1).makespan / run(0, 1).makespan,
+                run(i, 2).makespan / run(0, 2).makespan,
+                run(i, 0).tasks_killed, run(i, 0).maps_rerun,
+                run(i, 1).tasks_killed, run(i, 1).maps_rerun,
+                run(i, 2).tasks_killed, run(i, 2).maps_rerun);
   }
   std::printf("\n(jobs failed at the harshest point: yarn %d, corral %d, "
               "repair %d; re-replicated %.1f / %.1f / %.1f GB)\n",
-              sweep.back().yarn.jobs_failed, sweep.back().corral.jobs_failed,
-              sweep.back().repair.jobs_failed,
-              sweep.back().yarn.bytes_rereplicated / kGB,
-              sweep.back().corral.bytes_rereplicated / kGB,
-              sweep.back().repair.bytes_rereplicated / kGB);
+              run(harshest, 0).jobs_failed, run(harshest, 1).jobs_failed,
+              run(harshest, 2).jobs_failed,
+              run(harshest, 0).bytes_rereplicated / kGB,
+              run(harshest, 1).bytes_rereplicated / kGB,
+              run(harshest, 2).bytes_rereplicated / kGB);
 
-  std::ofstream out("BENCH_failures.json");
-  out << "{\n  \"bench\": \"failures\",\n  \"workload\": \"w1-online\",\n"
-      << "  \"machine_mttr_minutes\": 15,\n  \"rack_mttr_minutes\": 30,\n"
-      << "  \"sweep\": [\n";
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    out << "   {\"mtbf_hours\": " << sweep[i].mtbf_hours << ",\n";
-    emit_policy_json(out, "yarn", sweep[i].yarn, yarn_healthy);
-    out << ",\n";
-    emit_policy_json(out, "corral", sweep[i].corral, corral_healthy);
-    out << ",\n";
-    emit_policy_json(out, "corral_repair", sweep[i].repair, repair_healthy);
-    out << "\n   }" << (i + 1 < sweep.size() ? "," : "") << "\n";
+  const char* const policies[] = {"yarn", "corral", "corral_repair"};
+  bench::Json sweep;
+  for (std::size_t i = 0; i < mtbf_hours.size(); ++i) {
+    bench::Json point = {{"mtbf_hours", mtbf_hours[i]}};
+    for (std::size_t p = 0; p < 3; ++p) {
+      point.set(policies[p], policy_json(run(i, p), run(0, p).makespan));
+    }
+    sweep.push(point);
   }
-  out << "  ]\n}\n";
-  std::printf("\nseries written to BENCH_failures.json\n");
+  bench::write_series("failures", {{"workload", "w1-online"},
+                                   {"machine_mttr_minutes", 15},
+                                   {"rack_mttr_minutes", 30},
+                                   {"sweep", sweep}});
   return 0;
 }

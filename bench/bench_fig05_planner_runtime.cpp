@@ -8,8 +8,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <vector>
 
 #include "bench_common.h"
@@ -27,14 +25,6 @@ ClusterConfig paper_cluster(int racks) {
   cluster.oversubscription = 5.0;
   return cluster;
 }
-
-struct GridPoint {
-  int jobs = 0;
-  int racks = 0;
-  double serial_seconds = 0;    // --threads 1
-  double parallel_seconds = 0;  // --threads N
-  Seconds predicted_makespan = 0;
-};
 
 // Fastest of three plans: with the bound-and-prune search a point takes
 // milliseconds, where one scheduler hiccup would otherwise dominate.
@@ -61,10 +51,7 @@ int main(int argc, char** argv) {
   // --smoke: a tiny grid for CI (seconds, not minutes) that still exercises
   // the full measure-and-write path, so the bench cannot rot unbuilt or
   // unrunnable. Registered as a ctest case in bench/CMakeLists.txt.
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  const bool smoke = bench::parse_smoke_flag(argc, argv);
   // At least 4 so the parallel series exercises a real multi-worker pool
   // even on small CI hosts; on a single hardware thread the speedup
   // degenerates to ~1x (the contract is byte-identical output, the speedup
@@ -89,7 +76,7 @@ int main(int argc, char** argv) {
   const std::vector<int> job_counts =
       smoke ? std::vector<int>{20, 40}
             : std::vector<int>{50, 100, 200, 300, 400, 500};
-  std::vector<GridPoint> grid;
+  bench::Json grid;
   std::printf("\n%-8s %-8s %14s %14s %10s\n", "jobs", "racks",
               "1 thread (ms)", "N threads (ms)", "speedup");
   for (int racks : rack_counts) {
@@ -97,42 +84,25 @@ int main(int argc, char** argv) {
     for (int count : job_counts) {
       const std::vector<JobSpec> jobs(all_jobs.begin(),
                                       all_jobs.begin() + count);
-      GridPoint point;
-      point.jobs = count;
-      point.racks = racks;
-      point.serial_seconds =
+      const double serial_s =
           plan_seconds(jobs, cluster, serial_pool, nullptr);
-      point.parallel_seconds =
-          plan_seconds(jobs, cluster, parallel_pool,
-                       &point.predicted_makespan);
+      Seconds makespan = 0;
+      const double parallel_s =
+          plan_seconds(jobs, cluster, parallel_pool, &makespan);
+      const double speedup = serial_s / std::max(parallel_s, 1e-9);
       std::printf("%-8d %-8d %14.2f %14.2f %9.2fx   (makespan %.0fs)\n",
-                  count, racks, point.serial_seconds * 1e3,
-                  point.parallel_seconds * 1e3,
-                  point.serial_seconds /
-                      std::max(point.parallel_seconds, 1e-9),
-                  point.predicted_makespan);
-      grid.push_back(point);
+                  count, racks, serial_s * 1e3, parallel_s * 1e3, speedup,
+                  makespan);
+      grid.push({{"jobs", count}, {"racks", racks},
+                 {"threads1_s", serial_s}, {"threadsN_s", parallel_s},
+                 {"speedup", speedup}, {"predicted_makespan_s", makespan}});
     }
   }
 
-  std::ofstream out("BENCH_planner_runtime.json");
-  out << "{\n  \"bench\": \"planner_runtime\",\n"
-      << "  \"workload\": \"w3\",\n"
-      << "  \"hardware_threads\": " << exec::hardware_threads() << ",\n"
-      << "  \"parallel_threads\": " << parallel_threads << ",\n"
-      << "  \"grid\": [\n";
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    const GridPoint& point = grid[i];
-    out << "   {\"jobs\": " << point.jobs << ", \"racks\": " << point.racks
-        << ", \"threads1_s\": " << point.serial_seconds
-        << ", \"threadsN_s\": " << point.parallel_seconds
-        << ", \"speedup\": "
-        << point.serial_seconds / std::max(point.parallel_seconds, 1e-9)
-        << ", \"predicted_makespan_s\": " << point.predicted_makespan << "}"
-        << (i + 1 < grid.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::printf("\nseries written to BENCH_planner_runtime.json\n");
+  bench::write_series("planner_runtime",
+                      {{"workload", "w3"},
+                       {"parallel_threads", parallel_threads},
+                       {"grid", grid}});
   std::printf(
       "\nThe paper reports ~55s at 500 jobs on a 6-core/24GB desktop for the\n"
       "exhaustive O(J^2 R^2) search. The rack-time bound here skips almost\n"

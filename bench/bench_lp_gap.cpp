@@ -5,9 +5,6 @@
 // latencies), exactly as in the paper. The series lands in
 // BENCH_lp_gap.json; --smoke shrinks the workloads for the CI ctest.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <string>
 #include <vector>
 
 #include "bench_common.h"
@@ -16,15 +13,9 @@ using namespace corral;
 
 namespace {
 
-struct GapRow {
-  std::string workload;
-  bool online = false;
-  double heuristic = 0;
-  double bound = 0;
-};
-
-GapRow report(const char* label, const std::vector<JobSpec>& jobs,
-              const ClusterConfig& cluster, bool online) {
+// Prints one heuristic-vs-bound row and returns it as a series entry.
+bench::Json report(const char* label, const std::vector<JobSpec>& jobs,
+                   const ClusterConfig& cluster, bool online) {
   const LatencyModelParams params = LatencyModelParams::from_cluster(cluster);
   const auto functions =
       build_response_functions(jobs, cluster.racks, params);
@@ -33,21 +24,16 @@ GapRow report(const char* label, const std::vector<JobSpec>& jobs,
   config.objective = online ? Objective::kAverageCompletionTime
                             : Objective::kMakespan;
   const Plan plan = plan_offline(functions, cluster.racks, config);
-
-  GapRow row;
-  row.workload = label;
-  row.online = online;
-  if (online) {
-    row.heuristic = plan.predicted_avg_completion;
-    row.bound = online_avg_completion_bound(functions, cluster.racks);
-  } else {
-    row.heuristic = plan.predicted_makespan;
-    row.bound = lp_batch_makespan_bound(functions, cluster.racks);
-  }
+  const double heuristic =
+      online ? plan.predicted_avg_completion : plan.predicted_makespan;
+  const double bound =
+      online ? online_avg_completion_bound(functions, cluster.racks)
+             : lp_batch_makespan_bound(functions, cluster.racks);
   std::printf("  %-14s heuristic %10.1fs  bound %10.1fs  gap %6.1f%%\n",
-              label, row.heuristic, row.bound,
-              100 * (row.heuristic / row.bound - 1));
-  return row;
+              label, heuristic, bound, 100 * (heuristic / bound - 1));
+  return {{"workload", label}, {"mode", online ? "online" : "batch"},
+          {"heuristic_s", heuristic}, {"bound_s", bound},
+          {"gap", heuristic / bound - 1}};
 }
 
 }  // namespace
@@ -55,10 +41,7 @@ GapRow report(const char* label, const std::vector<JobSpec>& jobs,
 int main(int argc, char** argv) {
   // --smoke: smaller workloads for the CI ctest (bench/CMakeLists.txt);
   // the full measure-and-write path still runs.
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  const bool smoke = bench::parse_smoke_flag(argc, argv);
   bench::banner(
       "Heuristic vs LP-relaxation lower bound (Section 4.2)",
       "batch makespan within ~3% of the LP bound; online average "
@@ -70,11 +53,11 @@ int main(int argc, char** argv) {
   auto w3_jobs = bench::w3(rng, smoke ? 30 : 200);
   auto w2_jobs = bench::w2(rng);
 
-  std::vector<GapRow> rows;
+  bench::Json rows;
   std::printf("\nBatch (makespan vs LP-Batch):\n");
-  rows.push_back(report("W1", w1_jobs, cluster, /*online=*/false));
-  rows.push_back(report("W2", w2_jobs, cluster, /*online=*/false));
-  rows.push_back(report("W3", w3_jobs, cluster, /*online=*/false));
+  rows.push(report("W1", w1_jobs, cluster, /*online=*/false));
+  rows.push(report("W2", w2_jobs, cluster, /*online=*/false));
+  rows.push(report("W3", w3_jobs, cluster, /*online=*/false));
 
   assign_uniform_arrivals(w1_jobs, 60 * kMinute, rng);
   assign_uniform_arrivals(w2_jobs, 60 * kMinute, rng);
@@ -82,22 +65,10 @@ int main(int argc, char** argv) {
   std::printf("\nOnline (average completion vs relaxation bound; ours is a\n"
               "looser relaxation than the paper's unpublished LP, so the\n"
               "printed gap upper-bounds the true gap):\n");
-  rows.push_back(report("W1", w1_jobs, cluster, /*online=*/true));
-  rows.push_back(report("W2", w2_jobs, cluster, /*online=*/true));
-  rows.push_back(report("W3", w3_jobs, cluster, /*online=*/true));
+  rows.push(report("W1", w1_jobs, cluster, /*online=*/true));
+  rows.push(report("W2", w2_jobs, cluster, /*online=*/true));
+  rows.push(report("W3", w3_jobs, cluster, /*online=*/true));
 
-  std::ofstream out("BENCH_lp_gap.json");
-  out << "{\n  \"bench\": \"lp_gap\",\n  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const GapRow& row = rows[i];
-    out << "   {\"workload\": \"" << row.workload << "\", \"mode\": \""
-        << (row.online ? "online" : "batch")
-        << "\", \"heuristic_s\": " << row.heuristic
-        << ", \"bound_s\": " << row.bound
-        << ", \"gap\": " << row.heuristic / row.bound - 1 << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::printf("\nseries written to BENCH_lp_gap.json\n");
+  bench::write_series("lp_gap", {{"rows", rows}});
   return 0;
 }

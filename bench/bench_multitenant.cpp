@@ -11,8 +11,6 @@
 // BENCH_multitenant.json.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -57,10 +55,7 @@ int total_grant_changes(const ServiceResult& result) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  const bool smoke = bench::parse_smoke_flag(argc, argv);
   bench::banner(
       "Control plane - multi-tenant service over a tenants x shards grid",
       "shared cluster, arbitrated rack shares, width-independent results");
@@ -84,13 +79,7 @@ int main(int argc, char** argv) {
   std::printf("\n%8s %7s %10s %10s %11s %10s %10s\n", "tenants", "shards",
               "hits", "misses", "grant.chg", "pred.err", "wall (s)");
 
-  std::ofstream out("BENCH_multitenant.json");
-  out << "{\n  \"bench\": \"multitenant\",\n"
-      << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-      << "  \"epochs\": " << base.loop.epochs << ",\n"
-      << "  \"jobs_per_tenant\": " << workload.num_jobs << ",\n"
-      << "  \"grid\": [";
-  bool first = true;
+  bench::Json grid;
   bool deterministic = true;
   for (const int tenants : tenant_points) {
     std::string reference_report;
@@ -114,21 +103,19 @@ int main(int argc, char** argv) {
                   total_grant_changes(run.result),
                   100.0 * combined.mean_prediction_error,
                   run.wall_seconds);
-      out << (first ? "" : ",") << "\n    {\"tenants\": " << tenants
-          << ", \"shards\": " << shards
-          << ", \"cache_hits\": " << combined.cache.hits
-          << ", \"cache_misses\": " << combined.cache.misses
-          << ", \"cache_invalidations\": " << combined.cache.invalidations
-          << ", \"grant_changes\": " << total_grant_changes(run.result)
-          << ", \"epochs_completed\": " << combined.epochs_completed
-          << ", \"mean_prediction_error\": "
-          << combined.mean_prediction_error
-          << ", \"wall_s\": " << run.wall_seconds << "}";
-      first = false;
+      grid.push({{"tenants", tenants}, {"shards", shards},
+                 {"cache_hits", combined.cache.hits},
+                 {"cache_misses", combined.cache.misses},
+                 {"cache_invalidations", combined.cache.invalidations},
+                 {"grant_changes", total_grant_changes(run.result)},
+                 {"epochs_completed", combined.epochs_completed},
+                 {"mean_prediction_error", combined.mean_prediction_error},
+                 {"wall_s", run.wall_seconds}});
     }
   }
-  out << "\n  ],\n  \"shard_width_independent\": "
-      << (deterministic ? "true" : "false") << "\n}\n";
-  std::printf("\nseries written to BENCH_multitenant.json\n");
+  bench::write_series("multitenant",
+                      {{"smoke", smoke}, {"epochs", base.loop.epochs},
+                       {"jobs_per_tenant", workload.num_jobs}, {"grid", grid},
+                       {"shard_width_independent", deterministic}});
   return deterministic ? 0 : 1;
 }

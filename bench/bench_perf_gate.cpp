@@ -1,33 +1,39 @@
 // Performance regression gate (registered as ctest PerfGate.Regression).
 //
-// Measures two wall-clock workloads that together cover the repo's hot
-// paths — the offline planner's provisioning search (Fig 5 regime) and the
-// control-plane loop (simulator + allocator + event queue) — and compares
-// them against the pinned baseline in bench/perf_baseline.json. To factor
+// Measures the seven wall-clock series of kSeries, which together cover the
+// repo's hot paths — the offline planner's provisioning search (Fig 5
+// regime) and its two alternative backends, and the control-plane loop
+// (simulator + allocator + event queue) under three allocators and as a
+// multi-tenant service — and compares them against the pinned baseline in
+// bench/perf_baseline.json. To factor
 // out machine speed, every measurement is normalized by a fixed arithmetic
 // calibration loop run on the same core: the recorded unit is
 // "workload seconds per calibration second", which transfers across hosts
 // of similar microarchitecture far better than raw seconds.
 //
-// The gate fails (exit 1) when either normalized measurement exceeds its
-// baseline by more than 15%. Regenerate the baseline after an intentional
-// performance change with:
+// The gate fails (exit 1) when any normalized measurement exceeds its
+// baseline by more than 15%. The baseline is read and checked before any
+// workload runs: every series pin must appear once as a finite number > 0.
+// Regenerate the baseline after an intentional performance change with:
 //   bench_perf_gate --baseline bench/perf_baseline.json --update
 //
 // Sanitizer builds skip the gate (bench/CMakeLists.txt does not register
 // the test there): instrumentation changes timings, not results.
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
+#include <iostream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "ctrl/control_loop.h"
 #include "ctrl/service.h"
 #include "plan/backend.h"
+#include "util/check.h"
+#include "util/flags.h"
 
 using namespace corral;
 
@@ -95,7 +101,7 @@ double planner_workload() {
 // instance: dagpack's troublesome-subgraph packing and lpround's per-job LP
 // bisection + rounding. Response functions are built outside the timed
 // region — the backend search is the regression target, the latency model
-// has its own coverage through planner_norm.
+// has its own coverage through the planner series.
 double backend_workload(PlannerBackendKind kind, int repeats) {
   const ClusterConfig cluster = planner_cluster();
   Rng rng(5);
@@ -168,26 +174,66 @@ double multitenant_workload() {
   });
 }
 
-// Minimal flat-JSON number lookup: finds `"key":` and parses the number
-// after it. Good enough for the baseline file this binary itself writes.
-bool json_number(const std::string& text, const std::string& key,
-                 double* value) {
-  const auto pos = text.find("\"" + key + "\":");
-  if (pos == std::string::npos) return false;
-  *value = std::strtod(text.c_str() + pos + key.size() + 3, nullptr);
-  return true;
+// The gated series, in run order: `key` names `<key>_s` and `<key>_norm` in
+// BENCH_perf_gate.json and `<key>_norm` in the baseline.
+struct Series {
+  const char* key;
+  const char* label;
+  double (*workload)();
+};
+
+const Series kSeries[] = {
+    {"planner", "planner (fig05 smoke)", planner_workload},
+    {"dagpack", "dagpack backend",
+     [] { return backend_workload(PlannerBackendKind::kDagPack, 800); }},
+    {"lpround", "lpround backend",
+     [] { return backend_workload(PlannerBackendKind::kLpRound, 10); }},
+    {"ctrl", "ctrl loop (smoke)", [] { return ctrl_workload(); }},
+    // The coflow-suite allocators on the same loop: lp-order re-solves its
+    // ordering LP on every coflow-set change; sincronia's BSSI is the cheap
+    // path. Gated separately so an allocator slowdown cannot hide inside
+    // the ctrl series' tolerance.
+    {"lporder", "ctrl loop (lp-order)",
+     [] { return ctrl_workload(NetPolicy::kLpOrder); }},
+    {"sincronia", "ctrl loop (sincronia)",
+     [] { return ctrl_workload(NetPolicy::kSincronia); }},
+    {"multitenant", "multitenant (4x2)", multitenant_workload},
+};
+
+std::string norm_key(const Series& series) {
+  return std::string(series.key) + "_norm";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string baseline_path;
-  bool update = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
-      baseline_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--update") == 0) {
-      update = true;
+  FlagParser flags("Performance regression gate: calibration-normalized "
+                   "wall time of the planner and ctrl-loop series.");
+  flags.add_string("baseline", "", "baseline JSON to gate against");
+  flags.add_bool("update", false,
+                 "rewrite --baseline from this run instead of gating");
+  if (!flags.parse(argc, argv, std::cerr)) return 1;
+  const std::string baseline_path = flags.get_string("baseline");
+  const bool update = flags.get_bool("update");
+  if ((update || flags.provided("baseline")) && baseline_path.empty()) {
+    std::fprintf(stderr, "error: --baseline needs a path\n");
+    return 1;
+  }
+  std::vector<double> pins;  // one per kSeries entry
+  if (!baseline_path.empty() && !update) {
+    try {
+      const auto numbers = bench::read_flat_json(baseline_path);
+      for (const Series& series : kSeries) {
+        const auto pin = numbers.find(norm_key(series));
+        require(pin != numbers.end() && std::isfinite(pin->second) &&
+                    pin->second > 0,
+                baseline_path + ": " + norm_key(series) +
+                    " must be a finite number > 0");
+        pins.push_back(pin->second);
+      }
+    } catch (const std::invalid_argument& e) {
+      std::printf("FAIL: baseline %s (regenerate with --update)\n", e.what());
+      return 1;
     }
   }
   bench::banner("Performance regression gate",
@@ -195,125 +241,43 @@ int main(int argc, char** argv) {
                 "fails >15% over bench/perf_baseline.json");
 
   const double calib = std::min(calibration_run(), calibration_run());
-  const double planner_s = planner_workload();
-  const double dagpack_s = backend_workload(PlannerBackendKind::kDagPack, 800);
-  const double lpround_s = backend_workload(PlannerBackendKind::kLpRound, 10);
-  const double ctrl_s = ctrl_workload();
-  // The coflow-suite allocators on the same loop: lp-order re-solves its
-  // ordering LP on every coflow-set change; sincronia's BSSI is the cheap
-  // path. Gated separately so an allocator slowdown cannot hide inside
-  // ctrl_norm's tolerance.
-  const double lporder_s = ctrl_workload(NetPolicy::kLpOrder);
-  const double sincronia_s = ctrl_workload(NetPolicy::kSincronia);
-  const double multitenant_s = multitenant_workload();
-  const double planner_norm = planner_s / calib;
-  const double dagpack_norm = dagpack_s / calib;
-  const double lpround_norm = lpround_s / calib;
-  const double ctrl_norm = ctrl_s / calib;
-  const double lporder_norm = lporder_s / calib;
-  const double sincronia_norm = sincronia_s / calib;
-  const double multitenant_norm = multitenant_s / calib;
+  std::vector<double> seconds;
+  for (const Series& series : kSeries) seconds.push_back(series.workload());
 
   std::printf("\n%-22s %12s %12s\n", "measurement", "wall (s)", "normalized");
   std::printf("%-22s %12.3f %12s\n", "calibration", calib, "1.000");
-  std::printf("%-22s %12.3f %12.3f\n", "planner (fig05 smoke)", planner_s,
-              planner_norm);
-  std::printf("%-22s %12.3f %12.3f\n", "dagpack backend", dagpack_s,
-              dagpack_norm);
-  std::printf("%-22s %12.3f %12.3f\n", "lpround backend", lpround_s,
-              lpround_norm);
-  std::printf("%-22s %12.3f %12.3f\n", "ctrl loop (smoke)", ctrl_s,
-              ctrl_norm);
-  std::printf("%-22s %12.3f %12.3f\n", "ctrl loop (lp-order)", lporder_s,
-              lporder_norm);
-  std::printf("%-22s %12.3f %12.3f\n", "ctrl loop (sincronia)", sincronia_s,
-              sincronia_norm);
-  std::printf("%-22s %12.3f %12.3f\n", "multitenant (4x2)", multitenant_s,
-              multitenant_norm);
-
-  std::ofstream series("BENCH_perf_gate.json");
-  series << "{\n  \"bench\": \"perf_gate\",\n"
-         << "  \"calibration_s\": " << calib << ",\n"
-         << "  \"planner_s\": " << planner_s << ",\n"
-         << "  \"dagpack_s\": " << dagpack_s << ",\n"
-         << "  \"lpround_s\": " << lpround_s << ",\n"
-         << "  \"ctrl_s\": " << ctrl_s << ",\n"
-         << "  \"lporder_s\": " << lporder_s << ",\n"
-         << "  \"sincronia_s\": " << sincronia_s << ",\n"
-         << "  \"multitenant_s\": " << multitenant_s << ",\n"
-         << "  \"planner_norm\": " << planner_norm << ",\n"
-         << "  \"dagpack_norm\": " << dagpack_norm << ",\n"
-         << "  \"lpround_norm\": " << lpround_norm << ",\n"
-         << "  \"ctrl_norm\": " << ctrl_norm << ",\n"
-         << "  \"lporder_norm\": " << lporder_norm << ",\n"
-         << "  \"sincronia_norm\": " << sincronia_norm << ",\n"
-         << "  \"multitenant_norm\": " << multitenant_norm << "\n}\n";
-  std::printf("\nseries written to BENCH_perf_gate.json\n");
+  bench::Json measured = {{"calibration_s", calib}};
+  bench::Json norms = {{"bench", "perf_gate_baseline"}};
+  for (std::size_t i = 0; i < seconds.size(); ++i) {
+    const double norm = seconds[i] / calib;
+    std::printf("%-22s %12.3f %12.3f\n", kSeries[i].label, seconds[i], norm);
+    measured.set(std::string(kSeries[i].key) + "_s", seconds[i])
+        .set(norm_key(kSeries[i]), norm);
+    norms.set(norm_key(kSeries[i]), norm);
+  }
+  bench::write_series("perf_gate", measured);
 
   if (baseline_path.empty()) {
     std::printf("no --baseline given: measuring only, no gate applied\n");
     return 0;
   }
   if (update) {
-    std::ofstream out(baseline_path);
-    out << "{\n  \"bench\": \"perf_gate_baseline\",\n"
-        << "  \"planner_norm\": " << planner_norm << ",\n"
-        << "  \"dagpack_norm\": " << dagpack_norm << ",\n"
-        << "  \"lpround_norm\": " << lpround_norm << ",\n"
-        << "  \"ctrl_norm\": " << ctrl_norm << ",\n"
-        << "  \"lporder_norm\": " << lporder_norm << ",\n"
-        << "  \"sincronia_norm\": " << sincronia_norm << ",\n"
-        << "  \"multitenant_norm\": " << multitenant_norm << "\n}\n";
+    bench::write_json(baseline_path, norms);
     std::printf("baseline updated: %s\n", baseline_path.c_str());
     return 0;
   }
 
-  std::ifstream in(baseline_path);
-  if (!in) {
-    std::printf("FAIL: baseline file missing: %s (regenerate with --update)\n",
-                baseline_path.c_str());
-    return 1;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  double base_planner = 0;
-  double base_dagpack = 0;
-  double base_lpround = 0;
-  double base_ctrl = 0;
-  double base_lporder = 0;
-  double base_sincronia = 0;
-  double base_multitenant = 0;
-  if (!json_number(text, "planner_norm", &base_planner) ||
-      !json_number(text, "dagpack_norm", &base_dagpack) ||
-      !json_number(text, "lpround_norm", &base_lpround) ||
-      !json_number(text, "ctrl_norm", &base_ctrl) ||
-      !json_number(text, "lporder_norm", &base_lporder) ||
-      !json_number(text, "sincronia_norm", &base_sincronia) ||
-      !json_number(text, "multitenant_norm", &base_multitenant)) {
-    std::printf("FAIL: baseline file unparsable: %s (regenerate with "
-                "--update)\n",
-                baseline_path.c_str());
-    return 1;
-  }
-
   constexpr double kTolerance = 1.15;
   bool ok = true;
-  const auto gate = [&](const char* name, double measured, double baseline) {
-    const double ratio = measured / baseline;
-    const bool pass = measured <= baseline * kTolerance;
-    std::printf("%-22s baseline %8.3f measured %8.3f ratio %5.2fx  %s\n",
-                name, baseline, measured, ratio, pass ? "OK" : "REGRESSED");
-    ok = ok && pass;
-  };
   std::printf("\ngate (tolerance %.0f%%):\n", (kTolerance - 1.0) * 100);
-  gate("planner_norm", planner_norm, base_planner);
-  gate("dagpack_norm", dagpack_norm, base_dagpack);
-  gate("lpround_norm", lpround_norm, base_lpround);
-  gate("ctrl_norm", ctrl_norm, base_ctrl);
-  gate("lporder_norm", lporder_norm, base_lporder);
-  gate("sincronia_norm", sincronia_norm, base_sincronia);
-  gate("multitenant_norm", multitenant_norm, base_multitenant);
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    const double norm = seconds[i] / calib;
+    const bool pass = norm <= pins[i] * kTolerance;
+    std::printf("%-22s baseline %8.3f measured %8.3f ratio %5.2fx  %s\n",
+                norm_key(kSeries[i]).c_str(), pins[i], norm, norm / pins[i],
+                pass ? "OK" : "REGRESSED");
+    ok = ok && pass;
+  }
   if (!ok) {
     std::printf("\nFAIL: performance regressed beyond tolerance. If the\n"
                 "slowdown is intentional, refresh bench/perf_baseline.json\n"

@@ -10,11 +10,8 @@
 // batch instance its makespan must stay within 4x of the LP bound it
 // reports (2x from rounding the per-job LP envelope, 2x from list
 // scheduling; see src/plan/lpround.cpp). A violation exits non-zero.
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -32,25 +29,12 @@ ClusterConfig sized_testbed(int racks) {
   return cluster;
 }
 
-struct Row {
-  std::string workload;
-  int racks = 0;
-  std::string backend;
-  Seconds makespan = 0;
-  Seconds lp_bound = 0;       // LP-Batch bound for the instance
-  std::size_t evals = 0;      // deterministic planning cost
-  double wall_ms = 0;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
   // --smoke: a tiny grid for CI that still exercises every backend and the
   // JSON-write path. Registered as a ctest case in bench/CMakeLists.txt.
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  const bool smoke = bench::parse_smoke_flag(argc, argv);
   bench::banner(
       "Planner-backend bakeoff: corral vs dagpack vs lpround",
       "Corral lands within a few percent of the LP bound; dagpack trades a "
@@ -79,7 +63,14 @@ int main(int argc, char** argv) {
       PlannerBackendKind::kCorral, PlannerBackendKind::kDagPack,
       PlannerBackendKind::kLpRound};
 
-  std::vector<Row> rows;
+  // Per-backend sums across instances, for the summary.
+  struct Totals {
+    double makespan = 0;
+    double gap = 0;
+    std::size_t evals = 0;
+  };
+  std::vector<Totals> totals(backends.size());
+  bench::Json rows;
   int violations = 0;
   std::printf("\n%-6s %-6s %-8s %12s %12s %7s %10s %9s\n", "wkld", "racks",
               "backend", "makespan(s)", "lp-bound(s)", "gap", "evals",
@@ -97,7 +88,8 @@ int main(int argc, char** argv) {
       PlannerConfig config;
       config.objective = Objective::kMakespan;
       config.pool = &bench::pool();
-      for (PlannerBackendKind kind : backends) {
+      for (std::size_t b = 0; b < backends.size(); ++b) {
+        const PlannerBackendKind kind = backends[b];
         config.backend = kind;
         plan::PlannerRequest request;
         request.jobs = functions;
@@ -110,21 +102,22 @@ int main(int argc, char** argv) {
             plan::planner_backend(kind).plan(request);
         const auto stop = std::chrono::steady_clock::now();
 
-        Row row;
-        row.workload = workload.name;
-        row.racks = racks;
-        row.backend = std::string(plan::to_string(kind));
-        row.makespan = provision.plan.predicted_makespan;
-        row.lp_bound = instance_bound;
-        row.evals = provision.plan.evaluated_candidates;
-        row.wall_ms =
+        const std::string backend(plan::to_string(kind));
+        const Seconds makespan = provision.plan.predicted_makespan;
+        const std::size_t evals = provision.plan.evaluated_candidates;
+        const double gap = makespan / instance_bound - 1;
+        const double wall_ms =
             std::chrono::duration<double, std::milli>(stop - start).count();
-        rows.push_back(row);
+        totals[b].makespan += makespan;
+        totals[b].gap += gap;
+        totals[b].evals += evals;
         std::printf("%-6s %-6d %-8s %12.1f %12.1f %6.1f%% %10zu %9.2f\n",
-                    row.workload.c_str(), row.racks, row.backend.c_str(),
-                    row.makespan, row.lp_bound,
-                    100 * (row.makespan / row.lp_bound - 1), row.evals,
-                    row.wall_ms);
+                    workload.name, racks, backend.c_str(), makespan,
+                    instance_bound, 100 * gap, evals, wall_ms);
+        rows.push({{"workload", workload.name}, {"racks", racks},
+                   {"backend", backend}, {"makespan_s", makespan},
+                   {"lp_bound_s", instance_bound}, {"lp_gap", gap},
+                   {"candidate_evals", evals}, {"wall_ms", wall_ms}});
 
         // The rounding certificate, checked against the bound the backend
         // itself reports (its per-job LP bisection).
@@ -145,42 +138,19 @@ int main(int argc, char** argv) {
   // Per-backend summary: mean makespan and mean LP gap across instances.
   std::printf("\n%-8s %16s %10s %12s\n", "backend", "mean makespan(s)",
               "mean gap", "total evals");
-  std::ofstream out("BENCH_planner_bakeoff.json");
-  out << "{\n  \"bench\": \"planner_bakeoff\",\n  \"summary\": [\n";
+  bench::Json summary;
+  const double n = static_cast<double>(workloads.size() * rack_counts.size());
   for (std::size_t b = 0; b < backends.size(); ++b) {
     const std::string name(plan::to_string(backends[b]));
-    double makespan_sum = 0, gap_sum = 0;
-    std::size_t eval_sum = 0, count = 0;
-    for (const Row& row : rows) {
-      if (row.backend != name) continue;
-      makespan_sum += row.makespan;
-      gap_sum += row.makespan / row.lp_bound - 1;
-      eval_sum += row.evals;
-      ++count;
-    }
-    const double n = static_cast<double>(std::max<std::size_t>(count, 1));
-    std::printf("%-8s %16.1f %9.1f%% %12zu\n", name.c_str(),
-                makespan_sum / n, 100 * gap_sum / n, eval_sum);
-    out << "   {\"backend\": \"" << name
-        << "\", \"mean_makespan_s\": " << makespan_sum / n
-        << ", \"mean_lp_gap\": " << gap_sum / n
-        << ", \"total_candidate_evals\": " << eval_sum << "}"
-        << (b + 1 < backends.size() ? "," : "") << "\n";
+    const Totals& t = totals[b];
+    std::printf("%-8s %16.1f %9.1f%% %12zu\n", name.c_str(), t.makespan / n,
+                100 * t.gap / n, t.evals);
+    summary.push({{"backend", name}, {"mean_makespan_s", t.makespan / n},
+                  {"mean_lp_gap", t.gap / n},
+                  {"total_candidate_evals", t.evals}});
   }
-  out << "  ],\n  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    out << "   {\"workload\": \"" << row.workload
-        << "\", \"racks\": " << row.racks << ", \"backend\": \""
-        << row.backend << "\", \"makespan_s\": " << row.makespan
-        << ", \"lp_bound_s\": " << row.lp_bound
-        << ", \"lp_gap\": " << row.makespan / row.lp_bound - 1
-        << ", \"candidate_evals\": " << row.evals
-        << ", \"wall_ms\": " << row.wall_ms << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::printf("\nseries written to BENCH_planner_bakeoff.json\n");
+  bench::write_series("planner_bakeoff",
+                      {{"summary", summary}, {"rows", rows}});
 
   if (violations > 0) {
     std::fprintf(stderr, "%d rounding-certificate violation(s)\n",

@@ -15,12 +15,9 @@
 // least one net-policy pair must *invert* its makespan ordering between w1
 // and w1-constrained for some planner — concentrating coflows on a few
 // racks changes which allocation policy wins. Exits non-zero otherwise.
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <deque>
-#include <fstream>
-#include <sstream>
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -29,20 +26,12 @@
 #include "exec/exec.h"
 #include "net/allocator.h"
 #include "plan/backend.h"
+#include "util/flags.h"
 #include "workload/tpch.h"
 
 using namespace corral;
 
 namespace {
-
-struct Row {
-  std::string workload;
-  std::string planner;
-  std::string net_policy;
-  Seconds makespan = 0;
-  Seconds avg_completion = 0;
-  Bytes cross_rack = 0;
-};
 
 // One planned (workload, backend) cell; the PlanLookup is self-contained
 // so simulation cases can reference it from pool workers.
@@ -54,36 +43,25 @@ struct PlannedCell {
   PlanLookup lookup;
 };
 
-std::string render_json(const std::vector<Row>& rows) {
-  std::ostringstream out;
-  out.precision(17);
-  out << "{\n  \"bench\": \"policy_matrix\",\n  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    out << "   {\"workload\": \"" << row.workload << "\", \"planner\": \""
-        << row.planner << "\", \"net_policy\": \"" << row.net_policy
-        << "\", \"makespan_s\": " << row.makespan
-        << ", \"avg_completion_s\": " << row.avg_completion
-        << ", \"cross_rack_bytes\": " << row.cross_rack << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  return out.str();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   // --smoke: a reduced W1 for CI that still runs the full 3x3x4 matrix,
   // the JSON-write path and the inversion assertion. --threads N pins the
   // pool width (the CoflowDeterminism suite diffs the JSON across widths).
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      exec::set_default_threads(std::atoi(argv[i + 1]));
-    }
+  FlagParser flags("Policy matrix: net policies x planner backends x "
+                   "workloads, written to BENCH_policy_matrix.json.");
+  flags.add_bool("smoke", false, "run the reduced W1 used in CI");
+  flags.add_int("threads", 0,
+                "bench pool width, up to 1024 (0: hardware concurrency)");
+  if (!flags.parse(argc, argv, std::cerr)) return 1;
+  const bool smoke = flags.get_bool("smoke");
+  const long threads = flags.get_int("threads");
+  if (threads < 0 || threads > 1024) {
+    std::fprintf(stderr, "error: --threads must be in 0..1024\n");
+    return 1;
   }
+  if (threads > 0) exec::set_default_threads(static_cast<int>(threads));
   bench::banner(
       "Policy matrix: net policies x planner backends x workloads",
       "Coflow-aware allocators (varys, lp-order, sincronia) beat per-flow "
@@ -185,55 +163,48 @@ int main(int argc, char** argv) {
   }
   const std::vector<BatchResult> results = bench::run_traced(cases);
 
-  std::vector<Row> rows;
+  bench::Json rows;
   std::printf("\n%-15s %-8s %-10s %12s %12s %10s\n", "workload", "planner",
               "net", "makespan(s)", "avg-jct(s)", "xrack(TB)");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const PlannedCell& cell = cells[i / policies.size()];
-    Row row;
-    row.workload = cell.workload;
-    row.planner = cell.planner;
-    row.net_policy = std::string(to_string(policies[i % policies.size()]));
-    row.makespan = results[i].result.makespan;
-    row.avg_completion = results[i].result.avg_completion();
-    row.cross_rack = results[i].result.total_cross_rack_bytes;
+    const std::string net(to_string(policies[i % policies.size()]));
+    const SimResult& result = results[i].result;
+    const double avg_completion = result.avg_completion();
     std::printf("%-15s %-8s %-10s %12.1f %12.1f %10.2f\n",
-                row.workload.c_str(), row.planner.c_str(),
-                row.net_policy.c_str(), row.makespan, row.avg_completion,
-                row.cross_rack / kTB);
-    rows.push_back(std::move(row));
+                cell.workload.c_str(), cell.planner.c_str(), net.c_str(),
+                result.makespan, avg_completion,
+                result.total_cross_rack_bytes / kTB);
+    rows.push({{"workload", cell.workload}, {"planner", cell.planner},
+               {"net_policy", net}, {"makespan_s", result.makespan},
+               {"avg_completion_s", avg_completion},
+               {"cross_rack_bytes", result.total_cross_rack_bytes}});
   }
-
-  const std::string json = render_json(rows);
-  std::ofstream("BENCH_policy_matrix.json") << json;
-  std::printf("\nseries written to BENCH_policy_matrix.json\n");
+  bench::write_series("policy_matrix", {{"rows", rows}});
 
   // Inversion assertion: some planner must rank a pair of net policies one
   // way on w1 and the opposite way on w1-constrained (strictly, both
   // sides). The constrained pinning concentrates the big coflows, which is
-  // exactly when ordering-based allocators change rank.
-  const auto makespan_of = [&](const std::string& workload,
-                               const std::string& planner,
-                               const std::string& net) {
-    for (const Row& row : rows) {
-      if (row.workload == workload && row.planner == planner &&
-          row.net_policy == net) {
-        return row.makespan;
-      }
-    }
-    return -1.0;
+  // exactly when ordering-based allocators change rank. Results run
+  // workload-major, then backend, then net policy; workloads 1 and 2 are
+  // w1 and w1-constrained.
+  const auto makespan_of = [&](std::size_t workload, std::size_t backend,
+                               std::size_t policy) {
+    return results[(workload * backends.size() + backend) * policies.size() +
+                   policy]
+        .result.makespan;
   };
   int inversions = 0;
-  for (PlannerBackendKind kind : backends) {
-    const std::string planner(plan::to_string(kind));
+  for (std::size_t k = 0; k < backends.size(); ++k) {
+    const std::string planner(plan::to_string(backends[k]));
     for (std::size_t a = 0; a < policies.size(); ++a) {
       for (std::size_t b = a + 1; b < policies.size(); ++b) {
         const std::string na(to_string(policies[a]));
         const std::string nb(to_string(policies[b]));
-        const double base_a = makespan_of("w1", planner, na);
-        const double base_b = makespan_of("w1", planner, nb);
-        const double con_a = makespan_of("w1-constrained", planner, na);
-        const double con_b = makespan_of("w1-constrained", planner, nb);
+        const double base_a = makespan_of(1, k, a);
+        const double base_b = makespan_of(1, k, b);
+        const double con_a = makespan_of(2, k, a);
+        const double con_b = makespan_of(2, k, b);
         const bool flipped = (base_a < base_b && con_a > con_b) ||
                              (base_a > base_b && con_a < con_b);
         if (flipped) {

@@ -1,5 +1,6 @@
-// Plain-text table rendering for the benchmark harness. Every figure/table
-// bench prints its series through this so output is uniform and diffable.
+// Plain-text table rendering. corral_plan prints its plan table through
+// TextTable, and bench::pct formats percentages with TextTable::pct; the
+// figure benches print their rows with printf.
 #ifndef CORRAL_UTIL_TABLE_H_
 #define CORRAL_UTIL_TABLE_H_
 
