@@ -242,7 +242,7 @@ class OrderedCoflowAllocator : public RateAllocator {
  public:
   using RateAllocator::allocate;
   void allocate(FlowTable& flows, const LinkSet& links) override {
-    if (flows.empty()) return;
+    if (flows.live() == 0) return;
     FillScratch& scratch = net_detail::thread_scratch();
     std::fill(flows.rate.begin(), flows.rate.end(), 0.0);
     net_detail::build_coflow_groups(flows, scratch, links);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <limits>
 #include <utility>
 
 #include "net/fill.h"
@@ -53,8 +54,22 @@ void FlowPath::add(int link) {
   links[static_cast<std::size_t>(count++)] = link;
 }
 
+namespace {
+
+// compact_if_sparse() sweeps once more than 1/kSparseDivisor of the rows
+// are tombstones.
+constexpr std::size_t kSparseDivisor = 4;
+// Entries in a link's first slot of the incidence pool.
+constexpr int kMinLinkSlot = 4;
+// Rows a table can hold, so that row * kMaxPathLinks fits an int.
+constexpr std::size_t kMaxRows = std::numeric_limits<int>::max() / kMaxPathLinks;
+
+}  // namespace
+
 void FlowTable::push_back(const Flow& flow) {
   ensure(flow.path.count > 0, "allocator: flow with empty path");
+  ensure(size() < kMaxRows, "allocator: flow table full");
+  const int r = static_cast<int>(size());
   id.push_back(flow.id);
   tag.push_back(flow.tag);
   coflow.push_back(flow.coflow);
@@ -66,6 +81,188 @@ void FlowTable::push_back(const Flow& flow) {
   path_links.insert(path_links.end(), flow.path.links.begin(),
                     flow.path.links.end());
   path_count.push_back(flow.path.count);
+  for (int i = 0; i < flow.path.count; ++i) {
+    const int link = flow.path.links[static_cast<std::size_t>(i)];
+    const auto sl = static_cast<std::size_t>(link);
+    if (sl >= links_.size()) links_.resize(sl + 1);
+    LinkRows& rows = links_[sl];
+    if (rows.count == 0) {
+      // Not in active_links_ (it carried no row at the last refresh, and
+      // has no tombstone since): the next refresh places it.
+      rows.width = 0.0;
+      rows.moved = 1;
+      moved_links_.push_back(link);
+    }
+    append_link_row(rows, r);
+    // Extending the running sum adds in row order, as a re-sum would.
+    rows.width += flow.width;
+  }
+}
+
+void FlowTable::append_link_row(LinkRows& rows, int row) {
+  if (rows.count == rows.capacity) {
+    const int capacity = std::max(kMinLinkSlot, 2 * rows.capacity);
+    const std::size_t end = link_entries_.size();
+    if (rows.capacity > 0 &&
+        static_cast<std::size_t>(rows.begin + rows.capacity) == end) {
+      link_entries_.resize(end + static_cast<std::size_t>(capacity -
+                                                          rows.capacity));
+    } else {
+      link_entries_.resize(end + static_cast<std::size_t>(capacity));
+      std::copy_n(link_entries_.begin() + rows.begin, rows.count,
+                  link_entries_.begin() + static_cast<std::ptrdiff_t>(end));
+      rows.begin = static_cast<int>(end);
+    }
+    rows.capacity = capacity;
+  }
+  link_entries_[static_cast<std::size_t>(rows.begin + rows.count++)] = row;
+}
+
+void FlowTable::retire(std::size_t f) {
+  ensure(alive(f), "FlowTable: retiring a dead row");
+  const int* links = path(f);
+  for (int i = 0; i < path_count[f]; ++i) {
+    LinkRows& rows = links_[static_cast<std::size_t>(links[i])];
+    if (!rows.stale) {
+      rows.stale = 1;
+      stale_links_.push_back(links[i]);
+    }
+  }
+  rate[f] = 0.0;
+  remaining[f] = std::numeric_limits<Bytes>::infinity();
+  path_count[f] = 0;
+  ++dead_;
+}
+
+int FlowTable::first_touch_key(int link, int row) const {
+  const int* links = path(static_cast<std::size_t>(row));
+  int position = 0;
+  while (links[position] != link) ++position;
+  return row * kMaxPathLinks + position;
+}
+
+void FlowTable::refresh_links() {
+  // A link that lost a row drops its tombstones and re-sums its width from
+  // zero over the rows left, in order.
+  bool any_left_order = false;
+  for (int link : stale_links_) {
+    LinkRows& rows = links_[static_cast<std::size_t>(link)];
+    rows.stale = 0;
+    int* entries = link_entries_.data() + rows.begin;
+    int kept = 0;
+    double sum = 0.0;
+    for (int i = 0; i < rows.count; ++i) {
+      const int r = entries[i];
+      if (!alive(static_cast<std::size_t>(r))) continue;
+      entries[kept++] = r;
+      sum += width[static_cast<std::size_t>(r)];
+    }
+    rows.count = kept;
+    rows.width = sum;
+    entries_resummed_ += static_cast<std::uint64_t>(kept);
+    if (rows.moved) continue;  // joined since the last refresh
+    if (kept == 0 || entries[0] != rows.key / kMaxPathLinks) {
+      // Its first row died: it leaves the order, and rejoins at its new
+      // first row if it has one.
+      rows.moved = 1;
+      moved_links_.push_back(link);
+      any_left_order = true;
+    }
+  }
+  stale_links_.clear();
+  if (!moved_links_.empty()) place_moved_links(any_left_order);
+}
+
+void FlowTable::place_moved_links(bool any_left_order) {
+  if (any_left_order) {
+    // The links that stay keep their relative order, so remain sorted.
+    active_links_.erase(
+        std::remove_if(active_links_.begin(), active_links_.end(),
+                       [&](int link) {
+                         return links_[static_cast<std::size_t>(link)].moved;
+                       }),
+        active_links_.end());
+  }
+  std::size_t k = 0;
+  for (int link : moved_links_) {
+    LinkRows& rows = links_[static_cast<std::size_t>(link)];
+    rows.moved = 0;
+    if (rows.count == 0) continue;
+    rows.key = first_touch_key(
+        link, link_entries_[static_cast<std::size_t>(rows.begin)]);
+    moved_links_[k++] = link;
+  }
+  moved_links_.resize(k);
+  const auto key = [&](int link) {
+    return links_[static_cast<std::size_t>(link)].key;
+  };
+  std::sort(moved_links_.begin(), moved_links_.end(),
+            [&](int a, int b) { return key(a) < key(b); });
+  // Merge from the back: only the tail past the smallest new key moves.
+  std::size_t kept = active_links_.size();
+  std::size_t out = kept + k;
+  active_links_.resize(out);
+  while (k > 0) {
+    if (kept > 0 && key(active_links_[kept - 1]) > key(moved_links_[k - 1])) {
+      active_links_[--out] = active_links_[--kept];
+    } else {
+      active_links_[--out] = moved_links_[--k];
+    }
+  }
+  moved_links_.clear();
+}
+
+void FlowTable::compact_if_sparse() {
+  if (dead_ * kSparseDivisor <= size()) return;
+  refresh_links();  // every link now lists live rows only
+  const std::size_t n = size();
+  new_row_.resize(n);
+  std::size_t kept = 0;
+  for (std::size_t f = 0; f < n; ++f) {
+    if (!alive(f)) continue;
+    new_row_[f] = static_cast<int>(kept);
+    if (kept != f) move_row(f, kept);
+    ++kept;
+  }
+  resize(kept);
+  renumber_link_rows();
+  dead_ = 0;
+  ++compactions_;
+}
+
+void FlowTable::renumber_link_rows() {
+  // Renumbers each list through new_row_ while packing the pool: slots of
+  // links without rows are dropped, and the others move down the pool in
+  // pool order, so a slot is never written before it has been read, and
+  // keep some headroom within their old size.
+  for (LinkRows& rows : links_) {
+    if (rows.count == 0) rows.capacity = 0;
+  }
+  moved_links_.assign(active_links_.begin(), active_links_.end());
+  std::sort(moved_links_.begin(), moved_links_.end(), [&](int a, int b) {
+    return links_[static_cast<std::size_t>(a)].begin <
+           links_[static_cast<std::size_t>(b)].begin;
+  });
+  int end = 0;
+  for (int link : moved_links_) {
+    LinkRows& rows = links_[static_cast<std::size_t>(link)];
+    // Renumbering is monotone: the list stays ascending, and its sum and
+    // the order of active_links_ stay as they are.
+    for (int i = 0; i < rows.count; ++i) {
+      link_entries_[static_cast<std::size_t>(end + i)] =
+          new_row_[static_cast<std::size_t>(
+              link_entries_[static_cast<std::size_t>(rows.begin + i)])];
+    }
+    rows.key = new_row_[static_cast<std::size_t>(rows.key / kMaxPathLinks)] *
+                   kMaxPathLinks +
+               rows.key % kMaxPathLinks;
+    rows.begin = end;
+    rows.capacity = std::min(
+        rows.capacity, std::max(kMinLinkSlot, rows.count + rows.count / 4));
+    end += rows.capacity;
+  }
+  moved_links_.clear();
+  link_entries_.resize(static_cast<std::size_t>(end));
 }
 
 Flow FlowTable::row(std::size_t f) const {
@@ -81,6 +278,21 @@ Flow FlowTable::row(std::size_t f) const {
   std::copy_n(path(f), kMaxPathLinks, flow.path.links.begin());
   flow.path.count = path_count[f];
   return flow;
+}
+
+void FlowTable::move_row(std::size_t from, std::size_t to) {
+  id[to] = id[from];
+  tag[to] = tag[from];
+  coflow[to] = coflow[from];
+  total[to] = total[from];
+  remaining[to] = remaining[from];
+  width[to] = width[from];
+  rate[to] = rate[from];
+  cross_rack[to] = cross_rack[from];
+  for (std::size_t i = 0; i < kMaxPathLinks; ++i) {
+    path_links[to * kMaxPathLinks + i] = path_links[from * kMaxPathLinks + i];
+  }
+  path_count[to] = path_count[from];
 }
 
 void FlowTable::resize(std::size_t n) {
@@ -109,7 +321,7 @@ void RateAllocator::allocate(std::vector<Flow>& flows, const LinkSet& links) {
 }
 
 void MaxMinFairAllocator::allocate(FlowTable& flows, const LinkSet& links) {
-  if (flows.empty()) return;
+  if (flows.live() == 0) return;
   FillScratch& scratch = thread_scratch();
   std::fill(flows.rate.begin(), flows.rate.end(), 0.0);
   const std::vector<double>& capacities = links.capacities();
@@ -120,12 +332,12 @@ void MaxMinFairAllocator::allocate(FlowTable& flows, const LinkSet& links) {
     trace_.counter(obs::TraceTrack::kNet, "maxmin.fill_rounds", 0, trace_now(),
                    rounds);
     trace_.counter(obs::TraceTrack::kNet, "maxmin.active_flows", 0,
-                   trace_now(), static_cast<double>(flows.size()));
+                   trace_now(), static_cast<double>(flows.live()));
   }
 }
 
 void VarysAllocator::allocate(FlowTable& flows, const LinkSet& links) {
-  if (flows.empty()) return;
+  if (flows.live() == 0) return;
   FillScratch& scratch = thread_scratch();
   std::fill(flows.rate.begin(), flows.rate.end(), 0.0);
   net_detail::build_coflow_groups(flows, scratch, links);

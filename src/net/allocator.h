@@ -10,6 +10,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -69,9 +70,19 @@ struct Flow {
 };
 
 // A flow set in structure-of-arrays form: one column per Flow field, one
-// row per flow. Network keeps its active flows here, in ascending id order,
+// row per flow, in ascending id order. Network keeps its active flows here,
 // and the rate allocators read and write the table in place, so their inner
 // loops walk dense arrays and no flow is copied per allocation.
+//
+// Retired rows stay behind as tombstones until too many pile up: a dead row
+// has rate 0, remaining +infinity and an empty path, so a walk over every
+// row (progress, next completion) needs no liveness branch, while walks that
+// group or list flows skip rows that are not alive(). The table also keeps,
+// across allocations, each link's live rows in ascending row order and
+// their summed width, and the links that carry a live row in first-touch
+// order: by their first live row, then by position on that row's path.
+// That is the order and the arithmetic a from-scratch sweep over the live
+// rows would produce, so rates do not depend on the table's history.
 struct FlowTable {
   std::vector<int> id;
   std::vector<std::uint64_t> tag;
@@ -84,8 +95,10 @@ struct FlowTable {
   std::vector<int> path_links;  // kMaxPathLinks entries per row
   std::vector<int> path_count;
 
+  // Rows, tombstones included: the bound of every per-row loop.
   std::size_t size() const { return id.size(); }
-  bool empty() const { return id.empty(); }
+  std::size_t live() const { return size() - dead_; }
+  bool alive(std::size_t f) const { return path_count[f] != 0; }
   const int* path(std::size_t f) const {
     return path_links.data() + f * kMaxPathLinks;
   }
@@ -93,44 +106,75 @@ struct FlowTable {
   // A table with one row per element of `flows`, in order.
   static FlowTable of(const std::vector<Flow>& flows);
 
-  // Appends `flow` as the last row. Its path must not be empty.
+  // Appends `flow` as the last row. Its path must not be empty; the width
+  // column must not change afterwards (link widths are running sums).
   void push_back(const Flow& flow);
   // Row `f` as a Flow value.
   Flow row(std::size_t f) const;
 
-  // Stable compaction: calls keep(f) once per row, in ascending order, and
-  // drops the rows for which it returns false; the others keep their
-  // relative order.
-  template <typename Keep>
-  void retain_if(Keep keep) {
-    const std::size_t n = size();
-    std::size_t kept = 0;
-    for (std::size_t f = 0; f < n; ++f) {
-      if (!keep(f)) continue;
-      if (kept != f) move_row(f, kept);
-      ++kept;
-    }
-    if (kept != n) resize(kept);
+  // Turns live row `f` into a tombstone. Row numbers do not change.
+  void retire(std::size_t f);
+  // Drops the tombstones once they are more than a quarter of the rows,
+  // renumbering the live rows in order. Call between per-row loops only.
+  void compact_if_sparse();
+
+  // Brings the per-link state up to date with the rows retired and added
+  // since the last call; the accessors below read that state.
+  void refresh_links();
+  // Links carrying a live row, in first-touch order.
+  const std::vector<int>& active_links() const { return active_links_; }
+  // The live rows crossing `link`, ascending (one entry per path position,
+  // so a path that repeats a link lists its row twice).
+  std::span<const int> link_rows(int link) const {
+    const LinkRows& rows = links_[static_cast<std::size_t>(link)];
+    return {link_entries_.data() + rows.begin,
+            static_cast<std::size_t>(rows.count)};
+  }
+  // Sum of width over link_rows(link), added in row order.
+  double link_width(int link) const {
+    return links_[static_cast<std::size_t>(link)].width;
   }
 
+  // Work counts: tombstone sweeps, and entries re-summed because their
+  // link lost a row.
+  std::uint64_t compactions() const { return compactions_; }
+  std::uint64_t entries_resummed() const { return entries_resummed_; }
+
  private:
-  // Inline: runs for every surviving row after the first dropped one, on
-  // every completion batch.
-  void move_row(std::size_t from, std::size_t to) {
-    id[to] = id[from];
-    tag[to] = tag[from];
-    coflow[to] = coflow[from];
-    total[to] = total[from];
-    remaining[to] = remaining[from];
-    width[to] = width[from];
-    rate[to] = rate[from];
-    cross_rack[to] = cross_rack[from];
-    for (std::size_t i = 0; i < kMaxPathLinks; ++i) {
-      path_links[to * kMaxPathLinks + i] = path_links[from * kMaxPathLinks + i];
-    }
-    path_count[to] = path_count[from];
-  }
+  // One link's rows: a slot of `capacity` entries in link_entries_, of
+  // which the first `count` are in use (rows retired since the last
+  // refresh_links() included). New rows have the highest number, so a list
+  // only grows at its end and stays ascending. A full slot grows in place
+  // when it ends the pool and otherwise moves to the end at twice the size;
+  // compaction packs the slots again, so the pool stays within a small
+  // factor of the live incidence without a per-link allocation.
+  struct LinkRows {
+    int begin = 0;
+    int count = 0;
+    int capacity = 0;
+    // Sort key in active_links_: first row * kMaxPathLinks + position.
+    int key = 0;
+    char stale = 0;  // lost a row since the last refresh
+    char moved = 0;  // queued to take a new place in active_links_
+    double width = 0;
+  };
+
+  void append_link_row(LinkRows& rows, int row);
+  int first_touch_key(int link, int row) const;
+  void place_moved_links(bool any_left_order);
+  void renumber_link_rows();
+  void move_row(std::size_t from, std::size_t to);
   void resize(std::size_t n);
+
+  std::size_t dead_ = 0;
+  std::vector<LinkRows> links_;
+  std::vector<int> link_entries_;
+  std::vector<int> active_links_;
+  std::vector<int> stale_links_;
+  std::vector<int> moved_links_;
+  std::vector<int> new_row_;  // compaction scratch: old row -> new row
+  std::uint64_t compactions_ = 0;
+  std::uint64_t entries_resummed_ = 0;
 };
 
 class RateAllocator {

@@ -15,6 +15,9 @@ void grow_to(std::vector<T>& values, std::size_t n) {
   if (values.size() < n) values.resize(n, T{});
 }
 
+// flow_slot of a tombstone row: in no group at all.
+constexpr int kDeadRow = -2;
+
 // Zeroes the load and marker of every touched link and empties the list.
 void clear_touched(FillScratch& scratch) {
   for (int l : scratch.touched) {
@@ -28,60 +31,25 @@ void clear_touched(FillScratch& scratch) {
 
 int progressive_fill(FlowTable& flows, FillScratch& scratch,
                      std::size_t num_links) {
-  const std::size_t num_flows = flows.size();
   ensure(scratch.residual.size() == num_links,
          "progressive_fill: residual/link count mismatch");
-  // Zero what the previous pass left behind, link by link.
-  for (int l : scratch.active_links) {
-    scratch.width_on_link[static_cast<std::size_t>(l)] = 0.0;
-  }
-  scratch.active_links.clear();
+  // The table keeps each link's live rows and summed width across passes;
+  // this pass consumes a copy of the widths.
+  flows.refresh_links();
+  const std::vector<int>& active_links = flows.active_links();
   grow_to(scratch.width_on_link, num_links);
-  grow_to(scratch.link_start, num_links);
-  grow_to(scratch.link_end, num_links);
-  scratch.frozen.assign(num_flows, 0);
-
-  // Pass 1: per-link widths and flow counts (first touch registers the
-  // link; counts accumulate in link_end until the prefix sum below).
-  for (std::size_t f = 0; f < num_flows; ++f) {
-    const int* path = flows.path(f);
-    for (int i = 0; i < flows.path_count[f]; ++i) {
-      const auto link = static_cast<std::size_t>(path[i]);
-      if (scratch.width_on_link[link] == 0.0) {
-        scratch.active_links.push_back(path[i]);
-        scratch.link_end[link] = 0;
-      }
-      scratch.width_on_link[link] += flows.width[f];
-      ++scratch.link_end[link];
-    }
+  for (int l : active_links) {
+    scratch.width_on_link[static_cast<std::size_t>(l)] = flows.link_width(l);
   }
-  // CSR offsets, then pass 2 fills flow ids in ascending-flow order (the
-  // freeze loop's iteration order — part of the deterministic contract).
-  int total = 0;
-  for (int l : scratch.active_links) {
-    const auto sl = static_cast<std::size_t>(l);
-    scratch.link_start[sl] = total;
-    total += scratch.link_end[sl];
-    scratch.link_end[sl] = scratch.link_start[sl];
-  }
-  scratch.link_flows.resize(static_cast<std::size_t>(total));
-  for (std::size_t f = 0; f < num_flows; ++f) {
-    const int* path = flows.path(f);
-    for (int i = 0; i < flows.path_count[f]; ++i) {
-      const auto link = static_cast<std::size_t>(path[i]);
-      scratch.link_flows[static_cast<std::size_t>(scratch.link_end[link]++)] =
-          static_cast<int>(f);
-    }
-  }
+  scratch.frozen.assign(flows.size(), 0);
 
   // Widths are subtracted as flows freeze; treat tiny residues as empty so
   // floating-point drift cannot leave a "loaded" link with no unfrozen
   // flows (which would stall the loop).
   constexpr double kWidthEps = 1e-9;
-  std::size_t remaining_flows = num_flows;
+  std::size_t remaining_flows = flows.live();
   int rounds = 0;
-  scratch.scan_links.assign(scratch.active_links.begin(),
-                            scratch.active_links.end());
+  scratch.scan_links.assign(active_links.begin(), active_links.end());
   while (remaining_flows > 0) {
     ++rounds;
     // Bottleneck link: smallest per-width share among links carrying load
@@ -106,10 +74,8 @@ int progressive_fill(FlowTable& flows, FillScratch& scratch,
     ensure(bottleneck >= 0, "progressive_fill: active flows but no link");
 
     std::size_t frozen_now = 0;
-    const auto sb = static_cast<std::size_t>(bottleneck);
-    for (int idx = scratch.link_start[sb]; idx < scratch.link_end[sb]; ++idx) {
-      const auto f = static_cast<std::size_t>(
-          scratch.link_flows[static_cast<std::size_t>(idx)]);
+    for (const int row : flows.link_rows(bottleneck)) {
+      const auto f = static_cast<std::size_t>(row);
       if (scratch.frozen[f]) continue;
       scratch.frozen[f] = 1;
       --remaining_flows;
@@ -126,7 +92,7 @@ int progressive_fill(FlowTable& flows, FillScratch& scratch,
     }
     if (frozen_now == 0) {
       // Width residue only: retire the link and keep going.
-      scratch.width_on_link[sb] = 0.0;
+      scratch.width_on_link[static_cast<std::size_t>(bottleneck)] = 0.0;
     }
   }
   return rounds;
@@ -150,6 +116,10 @@ void build_coflow_groups(const FlowTable& flows, FillScratch& scratch,
   int last_coflow = -1;
   int last_slot = -1;
   for (std::size_t f = 0; f < n; ++f) {
+    if (!flows.alive(f)) {
+      scratch.flow_slot[f] = kDeadRow;
+      continue;
+    }
     const int coflow = flows.coflow[f];
     if (coflow < 0) {
       ++singletons;
@@ -200,10 +170,11 @@ void build_coflow_groups(const FlowTable& flows, FillScratch& scratch,
   // Pass 2: place the rows. Singletons fill [0, singletons) from the back,
   // so they come out in descending row order, exactly the order of their
   // -(row)-1 keys.
-  scratch.group_flows.resize(n);
+  scratch.group_flows.resize(static_cast<std::size_t>(next));
   int singleton_pos = singletons;
   for (std::size_t f = 0; f < n; ++f) {
     const int slot = scratch.flow_slot[f];
+    if (slot == kDeadRow) continue;
     if (slot < 0) {
       --singleton_pos;
       scratch.group_flows[static_cast<std::size_t>(singleton_pos)] =

@@ -49,29 +49,26 @@ struct GroupRef {
 //
 // Concurrency contract (exec:: pool workers run whole simulations, so one
 // OS thread serves many simulations over its lifetime and several threads
-// allocate at once): per-flow state belongs to the FlowTable its Network
-// owns, and only this per-link and per-pass scratch is thread_local. Every
-// pass leaves no observable state. The per-link arrays (width_on_link,
-// load, touched_mark) are all-zero between passes: a pass writes only links
-// it lists in active_links or touched, and those lists are zeroed at the end
-// of each coflow group and again at the start of the next pass (so even a
-// pass cut short by an exception leaves nothing behind). No pass pays for
-// the links it does not touch. The per-link CSR
-// (link_start/link_end/link_flows) is rebuilt for exactly the links in
-// active_links, and entries behind a zero width_on_link are never read.
-// Results therefore cannot depend on which worker ran the previous
+// allocate at once): everything that outlives a pass belongs to the
+// FlowTable its Network owns — the rows, and the per-link incidence (each
+// link's live rows, their summed width, and the first-touch order of the
+// links that carry any), which the table keeps up to date as rows start
+// and retire. Only this per-pass scratch is thread_local, and no pass reads
+// what an earlier pass left in it: progressive_fill writes the width of
+// every link it will read before reading it, and the coflow arrays (load,
+// touched_mark) are all-zero between passes — a pass writes only links it
+// lists in touched, and that list is zeroed at the end of each coflow group
+// and again at the start of the next pass (so even a pass cut short by an
+// exception leaves nothing behind). No pass pays for the links it does not
+// touch. Results therefore cannot depend on which worker ran the previous
 // simulation (regression test: AllocatorConcurrency in net_test).
 struct FillScratch {
-  // Per-link fill state. width_on_link[link] == 0.0 marks "untouched this
-  // pass"; active_links lists touched links in first-touch order (the
-  // bottleneck scan iterates it, so this order is part of the deterministic
-  // contract).
+  // Per-link widths still unfrozen in this pass, copied from the table's
+  // link widths for its active links; scan_links lists the active links
+  // not yet drained, in the table's first-touch order (the bottleneck scan
+  // iterates it, so this order is part of the deterministic contract).
   std::vector<double> width_on_link;
-  std::vector<int> active_links;
-  std::vector<int> scan_links;  // active links not yet drained this pass
-  std::vector<int> link_start;  // CSR: flows crossing each active link
-  std::vector<int> link_end;
-  std::vector<int> link_flows;
+  std::vector<int> scan_links;
   std::vector<char> frozen;
 
   // Link capacities remaining; consumed in place by MADD and the fill.
@@ -95,10 +92,12 @@ struct FillScratch {
   std::vector<GroupRef> groups;
 };
 
-// Progressive filling over the table's columns: repeatedly saturate the
+// Progressive filling over the table's live rows: repeatedly saturate the
 // most constrained link and freeze the flows that cross it at the
 // width-weighted fair share, added on top of whatever is already in
-// flows.rate (zero for max-min; the MADD rates for coflow backfill).
+// flows.rate (zero for max-min; the MADD rates for coflow backfill). Reads
+// the table's per-link incidence (refreshing it first), so a pass touches
+// only the rows it freezes and the links it scans.
 // Consumes scratch.residual in place, clamping at subtraction time so a
 // frozen round can never drive a residual negative (the share computation
 // re-clamps defensively, keeping the result identical either way).
@@ -106,8 +105,9 @@ struct FillScratch {
 int progressive_fill(FlowTable& flows, FillScratch& scratch,
                      std::size_t num_links);
 
-// Groups the flows into coflows and computes each group's effective
-// bottleneck Γ at full link capacity. Flows without a coflow are singletons
+// Groups the live flows into coflows (tombstone rows are in no group) and
+// computes each group's effective bottleneck Γ at full link capacity.
+// Flows without a coflow are singletons
 // keyed -(row)-1 and come first, in descending row order; real coflows
 // follow in ascending key, rows ascending within each. That is the order of
 // sorting (key, row) pairs, reached in linear time: only the distinct real

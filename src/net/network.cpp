@@ -26,6 +26,7 @@ Network::Network(const ClusterConfig& config,
 int Network::add_flow(Flow flow) {
   flow.id = next_flow_id_++;
   flows_.push_back(flow);
+  ++counters_.rows_started;
   dirty_ = true;
   return flow.id;
 }
@@ -112,25 +113,32 @@ std::vector<Flow> Network::cancel_flows_if(
     const std::function<bool(const Flow&)>& predicate) {
   require(predicate != nullptr, "cancel_flows_if: predicate required");
   std::vector<Flow> cancelled;
-  flows_.retain_if([&](std::size_t f) {
+  for (std::size_t f = 0; f < flows_.size(); ++f) {
+    if (!flows_.alive(f)) continue;
     Flow flow = flows_.row(f);
-    if (!predicate(flow)) return true;
+    if (!predicate(flow)) continue;
     cancelled.push_back(std::move(flow));
-    return false;
-  });
-  if (!cancelled.empty()) dirty_ = true;
+    flows_.retire(f);
+  }
+  if (!cancelled.empty()) {
+    counters_.rows_retired += cancelled.size();
+    flows_.compact_if_sparse();
+    dirty_ = true;
+  }
   return cancelled;
 }
 
 void Network::recompute_if_dirty() {
   if (!dirty_) return;
   allocator_->allocate(flows_, links_);
+  ++counters_.reallocations;
   dirty_ = false;
 }
 
 Seconds Network::time_to_next_completion() {
-  if (flows_.empty()) return kInf;
+  if (idle()) return kInf;
   recompute_if_dirty();
+  // Tombstones (remaining +infinity, rate 0) drop out of both branches.
   Seconds horizon = kInf;
   for (std::size_t f = 0; f < flows_.size(); ++f) {
     const Bytes remaining = flows_.remaining[f];
@@ -151,9 +159,11 @@ Seconds Network::time_to_next_completion() {
 const std::vector<CompletedFlow>& Network::advance(Seconds dt) {
   require(dt >= 0, "advance: dt must be non-negative");
   completed_.clear();  // reused buffer: valid until the next advance()
-  if (flows_.empty()) return completed_;
+  ++counters_.advances;
+  if (idle()) return completed_;
   recompute_if_dirty();
 
+  // Tombstones move nothing: rate 0, and an empty path.
   if (dt > 0) {
     for (std::size_t f = 0; f < flows_.size(); ++f) {
       const Bytes moved = std::min(flows_.remaining[f], flows_.rate[f] * dt);
@@ -165,19 +175,30 @@ const std::vector<CompletedFlow>& Network::advance(Seconds dt) {
       }
     }
   }
-  // Batch-remove everything that finished in this step; symmetric shuffles
+  // Retire everything that finished in this step; symmetric shuffles
   // complete in groups, so a single recompute serves many completions. The
   // sweep runs even for dt == 0 so already-finished flows retire instead of
-  // spinning the event loop at a zero horizon.
-  flows_.retain_if([&](std::size_t f) {
-    if (flows_.remaining[f] > kCompletionSlack) return true;
+  // spinning the event loop at a zero horizon. Tombstones never match.
+  for (std::size_t f = 0; f < flows_.size(); ++f) {
+    if (flows_.remaining[f] > kCompletionSlack) continue;
     completed_.push_back(CompletedFlow{flows_.id[f], flows_.tag[f],
                                        flows_.coflow[f], flows_.total[f],
                                        flows_.cross_rack[f] != 0});
-    return false;
-  });
-  if (!completed_.empty()) dirty_ = true;
+    flows_.retire(f);
+  }
+  if (!completed_.empty()) {
+    counters_.rows_retired += completed_.size();
+    flows_.compact_if_sparse();
+    dirty_ = true;
+  }
   return completed_;
+}
+
+NetworkCounters Network::counters() const {
+  NetworkCounters counters = counters_;
+  counters.compactions = flows_.compactions();
+  counters.entries_resummed = flows_.entries_resummed();
+  return counters;
 }
 
 void Network::set_background_fraction(double fraction) {

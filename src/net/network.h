@@ -3,12 +3,15 @@
 // The Network owns the set of active flows, as one structure-of-arrays
 // FlowTable in ascending flow-id order, and lazily recomputes their rates in
 // place with the configured RateAllocator whenever the flow set changes.
+// Finished and cancelled flows leave tombstones in the table, swept in
+// batches, so a completion does not move the rows that remain.
 // The discrete-event simulator advances it in lockstep: query the time of
 // the next flow completion, advance by at most that amount, and collect the
 // flows that finished.
 #ifndef CORRAL_NET_NETWORK_H_
 #define CORRAL_NET_NETWORK_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -32,6 +35,18 @@ struct CompletedFlow {
   int coflow = -1;
   Bytes bytes = 0;
   bool cross_rack = false;
+};
+
+// Work counts of one Network, for tests and profiling. They are not part of
+// any simulation result or metric.
+struct NetworkCounters {
+  std::uint64_t reallocations = 0;  // rate allocator runs
+  std::uint64_t advances = 0;       // advance() calls
+  std::uint64_t rows_started = 0;   // flows started
+  std::uint64_t rows_retired = 0;   // flows completed or cancelled
+  std::uint64_t compactions = 0;    // tombstone sweeps of the flow table
+  // Incidence entries summed again because their link lost a row.
+  std::uint64_t entries_resummed = 0;
 };
 
 class Network {
@@ -79,8 +94,15 @@ class Network {
   std::vector<Flow> cancel_flows_if(
       const std::function<bool(const Flow&)>& predicate);
 
-  int active_flows() const { return static_cast<int>(flows_.size()); }
-  bool idle() const { return flows_.empty(); }
+  int active_flows() const { return static_cast<int>(flows_.live()); }
+  bool idle() const { return flows_.live() == 0; }
+
+  // The flow table, tombstone rows included (FlowTable::alive tells them
+  // apart): a read-only view for tests and probes.
+  const FlowTable& flows() const { return flows_; }
+
+  // Work done so far (see NetworkCounters).
+  NetworkCounters counters() const;
 
   // Seconds until the earliest active flow completes under current rates;
   // +infinity when idle. Triggers a rate recomputation when needed.
@@ -116,6 +138,7 @@ class Network {
   std::vector<CompletedFlow> completed_;  // reused by advance()
   int next_flow_id_ = 0;
   bool dirty_ = false;
+  NetworkCounters counters_;
   Bytes cross_rack_bytes_ = 0;
   std::vector<Bytes> link_bytes_;
 };

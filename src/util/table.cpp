@@ -54,8 +54,4 @@ std::string TextTable::pct(double fraction, int decimals) {
   return ss.str();
 }
 
-void print_banner(std::ostream& os, const std::string& title) {
-  os << "\n== " << title << " ==\n";
-}
-
 }  // namespace corral

@@ -27,9 +27,6 @@ class TextTable {
   std::vector<std::vector<std::string>> rows_;
 };
 
-// Prints a section banner used by the figure benches.
-void print_banner(std::ostream& os, const std::string& title);
-
 }  // namespace corral
 
 #endif  // CORRAL_UTIL_TABLE_H_
