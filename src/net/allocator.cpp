@@ -1,6 +1,7 @@
 #include "net/allocator.h"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <limits>
 #include <utility>
@@ -14,38 +15,28 @@ using net_detail::FillScratch;
 using net_detail::GroupRef;
 using net_detail::thread_scratch;
 
+// Flag spellings, indexed by NetPolicy's value.
+constexpr std::array<std::string_view, 4> kNetPolicyNames = {
+    "tcp", "varys", "lp-order", "sincronia"};
+static_assert(kNetPolicyNames.size() ==
+              static_cast<std::size_t>(NetPolicy::kSincronia) + 1);
+
 std::string_view to_string(NetPolicy policy) {
-  switch (policy) {
-    case NetPolicy::kTcp:
-      return "tcp";
-    case NetPolicy::kVarys:
-      return "varys";
-    case NetPolicy::kLpOrder:
-      return "lp-order";
-    case NetPolicy::kSincronia:
-      return "sincronia";
-  }
-  return "unknown";
+  const auto index = static_cast<std::size_t>(policy);
+  return index < kNetPolicyNames.size() ? kNetPolicyNames[index] : "unknown";
 }
 
 bool parse_net_policy(std::string_view text, NetPolicy* policy) {
-  if (text == "tcp") {
-    *policy = NetPolicy::kTcp;
-  } else if (text == "varys") {
-    *policy = NetPolicy::kVarys;
-  } else if (text == "lp-order") {
-    *policy = NetPolicy::kLpOrder;
-  } else if (text == "sincronia") {
-    *policy = NetPolicy::kSincronia;
-  } else {
-    return false;
-  }
+  const auto it =
+      std::find(kNetPolicyNames.begin(), kNetPolicyNames.end(), text);
+  if (it == kNetPolicyNames.end()) return false;
+  *policy = static_cast<NetPolicy>(it - kNetPolicyNames.begin());
   return true;
 }
 
 const std::vector<std::string>& net_policy_names() {
-  static const std::vector<std::string> names = {"tcp", "varys", "lp-order",
-                                                 "sincronia"};
+  static const std::vector<std::string> names(kNetPolicyNames.begin(),
+                                              kNetPolicyNames.end());
   return names;
 }
 

@@ -71,12 +71,10 @@ double CorralPolicy::priority(const JobSpec& job) const {
 
 CorralRepairPolicy::CorralRepairPolicy(std::vector<JobSpec> recurring_jobs,
                                        const ClusterConfig& cluster,
-                                       const PlannerConfig& planner_config,
-                                       double rack_health_threshold)
+                                       const PlannerConfig& planner_config)
     : jobs_(std::move(recurring_jobs)),
       cluster_(cluster),
-      planner_config_(planner_config),
-      rack_health_threshold_(rack_health_threshold) {
+      planner_config_(planner_config) {
   const Plan plan = plan_offline(jobs_, cluster_, planner_config_);
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
     plan_.emplace(jobs_[i].id, plan.jobs[i]);
@@ -121,7 +119,7 @@ void CorralRepairPolicy::on_rack_degraded(int, const ClusterTopology& topology,
   if (pending.empty()) return;
 
   const std::vector<int> healthy =
-      topology.usable_racks(rack_health_threshold_);
+      topology.usable_racks(kRackHealthThreshold);
   if (healthy.empty()) {
     // Nothing left to plan on: release the pending jobs to run
     // unconstrained wherever capacity survives.

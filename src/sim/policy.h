@@ -30,6 +30,11 @@
 
 namespace corral {
 
+// Minimum healthy fraction of an assigned rack (§3.1, §7). The simulator's
+// constraint fallback and CorralRepairPolicy's replanning both read it, so
+// they agree on when a rack is unhealthy.
+constexpr double kRackHealthThreshold = 0.5;
+
 // Maps job ids to their planned allocation. Built from the jobs the planner
 // saw (in the same order) and the plan it produced.
 class PlanLookup {
@@ -106,7 +111,7 @@ class CorralPolicy : public SchedulingPolicy {
 };
 
 // Corral with plan repair (§7): behaves exactly like CorralPolicy until a
-// rack durably degrades below the health threshold; then it re-runs the
+// rack durably degrades below kRackHealthThreshold; then it re-runs the
 // two-phase planner over the recurring jobs that have not yet been
 // submitted, against the healthy racks only, and serves the repaired
 // allocations (placement, constraints, priorities) from that point on.
@@ -117,8 +122,7 @@ class CorralRepairPolicy : public SchedulingPolicy {
  public:
   CorralRepairPolicy(std::vector<JobSpec> recurring_jobs,
                      const ClusterConfig& cluster,
-                     const PlannerConfig& planner_config,
-                     double rack_health_threshold = 0.5);
+                     const PlannerConfig& planner_config);
 
   std::string_view name() const override { return "corral-repair"; }
   std::unique_ptr<BlockPlacementPolicy> input_placement(
@@ -142,7 +146,6 @@ class CorralRepairPolicy : public SchedulingPolicy {
   std::vector<JobSpec> jobs_;
   ClusterConfig cluster_;
   PlannerConfig planner_config_;
-  double rack_health_threshold_;
   std::unordered_map<int, PlannedJob> plan_;  // by job id
   std::unordered_map<int, bool> submitted_;   // by job id
   int repairs_ = 0;

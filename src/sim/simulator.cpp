@@ -232,12 +232,6 @@ class Simulator {
           topology_.is_up(m) ? config_.cluster.slots_per_machine : 0;
     }
     config_.faults.validate(topology_.machines());
-    require(config_.max_task_retries > 0 && config_.max_task_retries < 255,
-            "run_simulation: max_task_retries must be in [1, 254]");
-    require(config_.rereplication_width > 0,
-            "run_simulation: rereplication_width must be positive");
-    require(config_.speculation_slowdown >= 1.0,
-            "run_simulation: speculation_slowdown must be >= 1");
     for (const FaultEvent& fault : config_.faults.events) {
       push_event(Event{fault.time, next_seq_++,
                        fault.type == FaultType::kCrash
@@ -252,7 +246,7 @@ class Simulator {
     rack_usable_.assign(static_cast<std::size_t>(topology_.racks()), true);
     for (int r = 0; r < topology_.racks(); ++r) {
       rack_usable_[static_cast<std::size_t>(r)] =
-          topology_.rack_usable(r, config_.rack_health_threshold);
+          topology_.rack_usable(r, kRackHealthThreshold);
     }
     jobs_.resize(jobs.size());
     std::unordered_set<int> seen_ids;
@@ -471,7 +465,7 @@ class Simulator {
     for (int r : racks) {
       require(r >= 0 && r < topology_.racks(),
               "submit_job: policy returned bad rack");
-      if (!topology_.rack_usable(r, config_.rack_health_threshold)) {
+      if (!topology_.rack_usable(r, kRackHealthThreshold)) {
         racks.clear();
         J.constraints_dropped = true;
         break;
@@ -1062,7 +1056,7 @@ class Simulator {
     // Durable rack degradation: notify the policy once per transition so
     // planning policies can repair their plan for unstarted jobs (§7).
     if (rack_usable_[static_cast<std::size_t>(machine_rack)] &&
-        !topology_.rack_usable(machine_rack, config_.rack_health_threshold)) {
+        !topology_.rack_usable(machine_rack, kRackHealthThreshold)) {
       rack_usable_[static_cast<std::size_t>(machine_rack)] = false;
       policy_.on_rack_degraded(machine_rack, topology_, now_);
     }
@@ -1080,8 +1074,7 @@ class Simulator {
       if (!J.allowed_racks.empty() &&
           std::find(J.allowed_racks.begin(), J.allowed_racks.end(),
                     machine_rack) != J.allowed_racks.end() &&
-          !topology_.rack_usable(machine_rack,
-                                 config_.rack_health_threshold)) {
+          !topology_.rack_usable(machine_rack, kRackHealthThreshold)) {
         J.allowed_racks.clear();
         J.rack_allowed.assign(static_cast<std::size_t>(topology_.racks()),
                               true);
@@ -1190,7 +1183,7 @@ class Simulator {
                      static_cast<double>(machines_down_));
     }
     if (!rack_usable_[static_cast<std::size_t>(rack)] &&
-        topology_.rack_usable(rack, config_.rack_health_threshold)) {
+        topology_.rack_usable(rack, kRackHealthThreshold)) {
       rack_usable_[static_cast<std::size_t>(rack)] = true;
       rearm_constraints();
       policy_.on_rack_recovered(rack, topology_, now_);
@@ -1206,8 +1199,7 @@ class Simulator {
       bool all_usable = true;
       for (int r : J.planned_racks) {
         all_usable =
-            all_usable &&
-            topology_.rack_usable(r, config_.rack_health_threshold);
+            all_usable && topology_.rack_usable(r, kRackHealthThreshold);
       }
       if (!all_usable) continue;
       J.allowed_racks = J.planned_racks;
@@ -1397,7 +1389,7 @@ class Simulator {
     if (release_slot && machine >= 0 && topology_.is_up(machine)) {
       free_slot(machine);
     }
-    if (T.issued[st] >= config_.max_task_retries) {
+    if (T.issued[st] >= kMaxTaskRetries) {
       fail_job(j);
       return;
     }
@@ -1674,8 +1666,8 @@ class Simulator {
     TaskTable& T = stage_rt(j, s).tasks[phase];
     if (T.done == 0) return false;
     const Seconds mean = T.duration_total / T.done;
-    const Seconds threshold = std::max(config_.speculation_min_runtime,
-                                       config_.speculation_slowdown * mean);
+    const Seconds threshold =
+        std::max(kSpeculationMinRuntime, kSpeculationSlowdown * mean);
     int best = -1;
     Seconds best_age = threshold;
     for (std::size_t t = 0; t < T.assigned.size(); ++t) {
@@ -1762,8 +1754,7 @@ class Simulator {
         pack_tag(FlowKind::kRereplicate, 0, 0, 0,
                  static_cast<int>(next_rerep_++ & 0xFFFFFF));
     rereps_[tag] = Rerep{file, chunk, dst};
-    note_flow(network_.start_flow(FlowDesc{src, dst, bytes,
-                                           config_.rereplication_width,
+    note_flow(network_.start_flow(FlowDesc{src, dst, bytes, kRereplicationWidth,
                                            /*coflow=*/-1, tag}));
   }
 
@@ -1780,11 +1771,9 @@ class Simulator {
   std::vector<int> freed_machines_;
   bool new_work_ = false;
 
-  // Pops in ascending (time, seq) order (sim/event_queue.h). Bucket width:
-  // one batching quantum, so quantum-aligned events map one timestamp per
-  // bucket (the queue is correct for any width).
-  CalendarEventQueue<Event> events_{
-      config_.time_quantum > 0 ? config_.time_quantum : 0.25};
+  // Pending events, popped in ascending (time, seq) order
+  // (sim/event_queue.h). push_event aligns times to the batching quantum.
+  EventQueue<Event> events_;
   long next_seq_ = 0;
   Seconds now_ = 0;
 

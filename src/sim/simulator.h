@@ -65,6 +65,21 @@ class SimulationAborted : public std::runtime_error {
   Seconds at_;
 };
 
+// Speculation (SimConfig::enable_speculation) may back up a task that has
+// run at least kSpeculationMinRuntime and longer than kSpeculationSlowdown x
+// its stage's mean completed-task duration.
+constexpr double kSpeculationSlowdown = 1.5;
+constexpr Seconds kSpeculationMinRuntime = 10.0;
+// A task attempted more than this many times fails its whole job
+// (JobResult::failed) instead of looping forever, e.g. when every replica
+// of its input chunk is lost.
+constexpr int kMaxTaskRetries = 100;
+static_assert(kMaxTaskRetries > 0 && kMaxTaskRetries < 255,
+              "attempt ids travel as 8 bits inside flow tags");
+// Width of re-replication flows (SimConfig::enable_rereplication), so that
+// healing competes gently with job traffic.
+constexpr double kRereplicationWidth = 0.5;
+
 struct SimConfig {
   ClusterConfig cluster;
   DfsConfig dfs;
@@ -78,9 +93,6 @@ struct SimConfig {
   // declines before settling for rack-local / arbitrary map placement.
   int node_local_skips = 3;
   int rack_local_skips = 6;
-  // Minimum healthy fraction for an assigned rack; below it, Corral's
-  // constraints are dropped for the job (§3.1, §7).
-  double rack_health_threshold = 0.5;
   // §7 "Remote storage": job input lives in an external storage cluster
   // (Azure Storage / S3 style) and map tasks stream it over a shared
   // interconnect instead of reading DFS replicas. There is no input
@@ -96,31 +108,21 @@ struct SimConfig {
   // machine are dropped (and re-replicated in the background when
   // enable_rereplication is on); in-flight transfers touching the machine
   // are torn down; Corral constraints are dropped for jobs whose assigned
-  // rack falls below rack_health_threshold (§3.1, §7 "Dealing with
+  // rack falls below kRackHealthThreshold (§3.1, §7 "Dealing with
   // failures"). Recover semantics: the machine rejoins the slot pool with
   // an empty disk, and dropped Corral constraints are re-armed once every
   // assigned rack is healthy again.
   FaultSchedule faults;
-  // Hadoop-style speculative execution: when a slot would otherwise idle, a
-  // task that has run at least speculation_min_runtime and longer than
-  // speculation_slowdown x its stage's mean completed-task duration gets
-  // one backup copy on another machine; the first finisher wins and the
-  // loser's slot time is booked as wasted work. Backups per job are capped
-  // at max(1, speculation_cap x the job's task count).
+  // Hadoop-style speculative execution: an idle slot may run one backup of a
+  // straggler (see kSpeculationSlowdown) on another machine; the first
+  // finisher wins and the loser's slot time is booked as wasted work.
+  // Backups per job are capped at max(1, speculation_cap x its task count).
   bool enable_speculation = false;
-  double speculation_slowdown = 1.5;
-  Seconds speculation_min_runtime = 10.0;
   double speculation_cap = 0.1;
-  // A task attempted more than this many times fails its whole job cleanly
-  // (JobResult::failed) instead of looping forever — e.g. when every
-  // replica of its input chunk is lost. Must stay below 255 (attempt ids
-  // travel as 8 bits inside flow tags).
-  int max_task_retries = 100;
   // Background DFS healing: chunks that lose a replica to a crash are
-  // re-replicated from a surviving copy over real network flows (width
-  // rereplication_width, so healing competes gently with job traffic).
+  // re-replicated from a surviving copy over real network flows of width
+  // kRereplicationWidth.
   bool enable_rereplication = true;
-  double rereplication_width = 0.5;
   std::uint64_t seed = 42;
   // Watchdog: the simulation throws if it passes this virtual time.
   Seconds max_time = 90 * kDay;

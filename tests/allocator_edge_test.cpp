@@ -18,6 +18,8 @@
 #include <map>
 #include <memory>
 #include <random>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -210,6 +212,26 @@ TEST(AllocatorProperty, DrainedFlowsParallelMatchesSerialExactly) {
   }
 }
 
+TEST(NetPolicyNames, ParseRoundTripsEveryPolicyAndRejectsUnknown) {
+  // The ForEveryPolicy tests below reach every policy through its spelling.
+  const std::vector<std::string>& names = net_policy_names();
+  ASSERT_EQ(names.size(), 4u);
+  for (NetPolicy policy : {NetPolicy::kTcp, NetPolicy::kVarys,
+                           NetPolicy::kLpOrder, NetPolicy::kSincronia}) {
+    const std::string_view name = to_string(policy);
+    EXPECT_EQ(names[static_cast<std::size_t>(policy)], name);
+    NetPolicy parsed =
+        policy == NetPolicy::kTcp ? NetPolicy::kVarys : NetPolicy::kTcp;
+    ASSERT_TRUE(parse_net_policy(name, &parsed)) << name;
+    EXPECT_EQ(parsed, policy) << name;
+  }
+  for (std::string_view bad : {"", "TCP", "lp_order", "varys ", "unknown"}) {
+    NetPolicy untouched = NetPolicy::kVarys;
+    EXPECT_FALSE(parse_net_policy(bad, &untouched)) << bad;
+    EXPECT_EQ(untouched, NetPolicy::kVarys) << bad;
+  }
+}
+
 TEST(AllocatorEdge, FullyDrainedCoflowYieldsFiniteRatesForEveryPolicy) {
   // The PR 7 zero-Γ guard, through the factory every tool dispatches on:
   // no registered policy may emit NaN or overfill when an entire coflow is
@@ -218,7 +240,7 @@ TEST(AllocatorEdge, FullyDrainedCoflowYieldsFiniteRatesForEveryPolicy) {
   const LinkSet links(config);
   for (const std::string& name : net_policy_names()) {
     NetPolicy policy = NetPolicy::kTcp;
-    parse_net_policy(name, &policy);
+    ASSERT_TRUE(parse_net_policy(name, &policy)) << name;
     std::vector<Flow> flows;
     flows.push_back(make_flow(links, config, 0, 0, 4, 0.0, 1.0, 0));
     flows.push_back(make_flow(links, config, 1, 1, 5, 0.0, 2.0, 0));
@@ -242,7 +264,7 @@ TEST(AllocatorEdge, ZeroRemainingSingletonsYieldFiniteRatesForEveryPolicy) {
   const LinkSet links(config);
   for (const std::string& name : net_policy_names()) {
     NetPolicy policy = NetPolicy::kTcp;
-    parse_net_policy(name, &policy);
+    ASSERT_TRUE(parse_net_policy(name, &policy)) << name;
     std::vector<Flow> flows;
     flows.push_back(make_flow(links, config, 0, 0, 4, 0.0, 1.0, -1));
     flows.push_back(make_flow(links, config, 1, 1, 5, 48.0, 1.0, -1));
@@ -263,7 +285,7 @@ TEST(AllocatorProperty, RandomFlowSetsRespectCapacityForEveryPolicy) {
   const LinkSet links(config);
   for (const std::string& name : net_policy_names()) {
     NetPolicy policy = NetPolicy::kTcp;
-    parse_net_policy(name, &policy);
+    ASSERT_TRUE(parse_net_policy(name, &policy)) << name;
     const auto allocator = coflow::make_allocator(policy);
     std::mt19937 rng(4242);
     for (int trial = 0; trial < 120; ++trial) {
@@ -403,7 +425,7 @@ TEST(AllocatorEdge, VectorAdapterMatchesNetworkRatesForEveryPolicy) {
   const ClusterConfig config = tiny_cluster();
   for (const std::string& name : net_policy_names()) {
     NetPolicy policy = NetPolicy::kTcp;
-    parse_net_policy(name, &policy);
+    ASSERT_TRUE(parse_net_policy(name, &policy)) << name;
     std::mt19937 rng(777);
     for (int trial = 0; trial < 60; ++trial) {
       Network net(config, coflow::make_allocator(policy));

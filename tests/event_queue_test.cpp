@@ -1,17 +1,13 @@
-// Differential test: CalendarEventQueue vs a binary heap on (time, seq).
-//
-// The simulator's determinism contract requires the calendar queue to pop
-// the exact (time, seq) order of a plain binary heap. This test drives both
-// queues through identical randomized schedules — tied timestamps,
-// interleaved pushes and pops, times far beyond the calendar window
-// (overflow), pushes behind the scan cursor (retreat), and drain-to-empty
-// refills — and asserts the popped sequences match event for event.
+// EventQueue against an independent oracle: the live events kept in an
+// ordered std::set. Every pop must return the smallest live (time, seq) —
+// on randomized schedules with tied timestamps, interleaved pushes and pops,
+// pushes behind already-popped times, and drain-to-empty refills.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
-#include <queue>
 #include <random>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -25,87 +21,48 @@ struct Ev {
   long seq = 0;
 };
 
-// The oracle: a std::priority_queue popping ascending (time, seq).
-class HeapQueue {
- public:
-  bool empty() const { return heap_.empty(); }
-  std::size_t size() const { return heap_.size(); }
-  void push(const Ev& event) { heap_.push(event); }
-  const Ev& top() const { return heap_.top(); }
-  void pop() { heap_.pop(); }
-
- private:
-  struct Later {
-    bool operator()(const Ev& a, const Ev& b) const {
-      return a.time != b.time ? a.time > b.time : a.seq > b.seq;
-    }
+// Applies an op script (push event / pop one) to an EventQueue, then drains
+// it, checking each pop and the size against the set of live events.
+void expect_pops_in_order(const std::vector<std::pair<bool, Ev>>& ops) {
+  EventQueue<Ev> queue;
+  std::set<std::pair<double, long>> live;
+  const auto pop_one = [&] {
+    ASSERT_FALSE(live.empty());
+    const Ev& top = queue.top();
+    EXPECT_EQ(std::make_pair(top.time, top.seq), *live.begin());
+    live.erase(live.begin());
+    queue.pop();
   };
-  std::priority_queue<Ev, std::vector<Ev>, Later> heap_;
-};
-
-// Applies the same op script (push event / pop one) to a queue and records
-// everything popped. Each pop also cross-checks top() against the recorded
-// value and that size() tracks the op balance.
-template <typename Queue>
-std::vector<std::pair<double, long>> run_script(
-    Queue& queue, const std::vector<std::pair<bool, Ev>>& ops) {
-  std::vector<std::pair<double, long>> popped;
-  std::size_t expected_size = 0;
   for (const auto& [is_push, ev] : ops) {
     if (is_push) {
       queue.push(ev);
-      ++expected_size;
+      live.emplace(ev.time, ev.seq);
     } else {
-      const Ev& top = queue.top();
-      popped.emplace_back(top.time, top.seq);
-      queue.pop();
-      --expected_size;
+      pop_one();
     }
-    EXPECT_EQ(queue.size(), expected_size);
+    ASSERT_EQ(queue.size(), live.size());
   }
-  // Drain the remainder so every pushed event is compared.
-  while (!queue.empty()) {
-    const Ev& top = queue.top();
-    popped.emplace_back(top.time, top.seq);
-    queue.pop();
-  }
-  return popped;
-}
-
-void expect_identical(const std::vector<std::pair<bool, Ev>>& ops,
-                      double bucket_width) {
-  CalendarEventQueue<Ev> calendar(bucket_width);
-  HeapQueue heap;
-  const auto from_calendar = run_script(calendar, ops);
-  const auto from_heap = run_script(heap, ops);
-  ASSERT_EQ(from_calendar.size(), from_heap.size());
-  for (std::size_t i = 0; i < from_heap.size(); ++i) {
-    EXPECT_EQ(from_calendar[i].first, from_heap[i].first) << "pop " << i;
-    EXPECT_EQ(from_calendar[i].second, from_heap[i].second) << "pop " << i;
-  }
+  while (!queue.empty()) pop_one();
+  EXPECT_TRUE(live.empty());
 }
 
 // Random interleaving of pushes and pops (pops only when non-empty), with
-// times drawn by `next_time`. Seq values are assigned ascending, as the
-// simulator does, but with occasional shuffles within a timestamp via the
-// tie generator below.
+// times drawn by `next_time` and seq values assigned ascending, as the
+// simulator does.
 template <typename TimeGen>
 std::vector<std::pair<bool, Ev>> make_script(int num_events,
                                              std::uint32_t seed,
                                              TimeGen next_time) {
   std::mt19937 rng(seed);
   std::vector<std::pair<bool, Ev>> ops;
-  ops.reserve(static_cast<std::size_t>(num_events) * 2);
   long seq = 0;
-  int pushed = 0;
   std::size_t live = 0;
-  while (pushed < num_events) {
+  while (seq < num_events) {
     if (live > 0 && rng() % 3 == 0) {
       ops.emplace_back(false, Ev{});
       --live;
     } else {
       ops.emplace_back(true, Ev{next_time(rng), seq++});
-      ++pushed;
       ++live;
     }
   }
@@ -114,24 +71,22 @@ std::vector<std::pair<bool, Ev>> make_script(int num_events,
 
 TEST(EventQueueDiff, QuantumAlignedTiedTimestamps) {
   // The simulator's regime: times are multiples of the batching quantum,
-  // pile up in dense ties, and creep forward. One timestamp per bucket.
+  // pile up in dense ties, and creep forward.
   double now = 0;
   const auto gen = [&now](std::mt19937& rng) {
     if (rng() % 4 == 0) now += 0.25;  // advance the clock occasionally
     return now + 0.25 * static_cast<double>(rng() % 16);
   };
-  expect_identical(make_script(10000, 1234, gen), 0.25);
+  expect_pops_in_order(make_script(10000, 1234, gen));
 }
 
-TEST(EventQueueDiff, ScatteredTimesWithOverflowAndRetreat) {
-  // Times span far beyond the 4096-bucket window (1024 s at width 0.25), so
-  // events land in overflow and drain back as the cursor advances; and
-  // because pops move the cursor forward while pushes stay uniform, later
-  // pushes frequently land behind the cursor and trigger retreat_to.
+TEST(EventQueueDiff, ScatteredTimes) {
+  // Uniform times over 5000 s: pops move forward while pushes stay uniform,
+  // so later pushes often land before times already popped.
   const auto gen = [](std::mt19937& rng) {
     return std::uniform_real_distribution<double>(0.0, 5000.0)(rng);
   };
-  expect_identical(make_script(10000, 99, gen), 0.25);
+  expect_pops_in_order(make_script(10000, 99, gen));
 }
 
 TEST(EventQueueDiff, MassiveTiesAtOneTimestamp) {
@@ -139,12 +94,11 @@ TEST(EventQueueDiff, MassiveTiesAtOneTimestamp) {
     // Three distinct timestamps only: almost every event ties.
     return 1.0 + static_cast<double>(rng() % 3);
   };
-  expect_identical(make_script(5000, 7, gen), 0.25);
+  expect_pops_in_order(make_script(5000, 7, gen));
 }
 
 TEST(EventQueueDiff, DrainToEmptyAndRefill) {
-  // Alternating full drains re-anchor the calendar's cursor each cycle,
-  // including backwards (cycle times are not monotone).
+  // Full drains between batches whose base times are not monotone.
   std::mt19937 rng(42);
   std::vector<std::pair<bool, Ev>> ops;
   long seq = 0;
@@ -157,25 +111,11 @@ TEST(EventQueueDiff, DrainToEmptyAndRefill) {
     }
     for (int i = 0; i < batch; ++i) ops.emplace_back(false, Ev{});
   }
-  expect_identical(ops, 0.25);
-}
-
-TEST(EventQueueDiff, UnalignedWidthStillCorrect) {
-  // Ordering must not depend on the bucket width matching the timestamps:
-  // run the aligned-regime script with a width that splits ties across
-  // tick boundaries arbitrarily.
-  double now = 0;
-  const auto gen = [&now](std::mt19937& rng) {
-    if (rng() % 4 == 0) now += 0.25;
-    return now + 0.25 * static_cast<double>(rng() % 16);
-  };
-  expect_identical(make_script(4000, 1234, gen), 0.37);
-  now = 0;
-  expect_identical(make_script(4000, 1234, gen), 100.0);
+  expect_pops_in_order(ops);
 }
 
 TEST(EventQueue, RejectsNonFiniteTime) {
-  CalendarEventQueue<Ev> queue(0.25);
+  EventQueue<Ev> queue;
   EXPECT_THROW(
       queue.push(Ev{std::numeric_limits<double>::infinity(), 0}),
       std::invalid_argument);
