@@ -1,5 +1,7 @@
 #include "cluster/topology.h"
 
+#include <numeric>
+
 #include "util/check.h"
 
 namespace corral {
@@ -55,17 +57,7 @@ ClusterTopology::ClusterTopology(ClusterConfig config) : config_(config) {
   up_.assign(static_cast<std::size_t>(machines()), true);
   healthy_per_rack_.assign(static_cast<std::size_t>(racks()),
                            config_.machines_per_rack);
-}
-
-std::vector<int> ClusterTopology::machines_in_rack(int rack) const {
-  require(rack >= 0 && rack < racks(), "machines_in_rack: rack out of range");
-  std::vector<int> ids;
-  ids.reserve(static_cast<std::size_t>(config_.machines_per_rack));
-  const int first = first_machine_of_rack(rack);
-  for (int m = first; m < first + config_.machines_per_rack; ++m) {
-    ids.push_back(m);
-  }
-  return ids;
+  live_racks_ = racks();
 }
 
 void ClusterTopology::fail_machine(int machine) {
@@ -73,7 +65,8 @@ void ClusterTopology::fail_machine(int machine) {
           "fail_machine: machine id out of range");
   if (up_[static_cast<std::size_t>(machine)]) {
     up_[static_cast<std::size_t>(machine)] = false;
-    --healthy_per_rack_[static_cast<std::size_t>(rack_of(machine))];
+    const auto rack = static_cast<std::size_t>(rack_of(machine));
+    if (--healthy_per_rack_[rack] == 0) --live_racks_;
   }
 }
 
@@ -82,7 +75,8 @@ void ClusterTopology::restore_machine(int machine) {
           "restore_machine: machine id out of range");
   if (!up_[static_cast<std::size_t>(machine)]) {
     up_[static_cast<std::size_t>(machine)] = true;
-    ++healthy_per_rack_[static_cast<std::size_t>(rack_of(machine))];
+    const auto rack = static_cast<std::size_t>(rack_of(machine));
+    if (++healthy_per_rack_[rack] == 1) ++live_racks_;
   }
 }
 
@@ -92,6 +86,45 @@ std::vector<int> ClusterTopology::usable_racks(double min_fraction) const {
     if (rack_usable(r, min_fraction)) usable.push_back(r);
   }
   return usable;
+}
+
+int ClusterTopology::random_healthy_machine(int rack, int exclude,
+                                            Rng& rng) const {
+  require(rack >= -1 && rack < racks(),
+          "random_healthy_machine: rack out of range");
+  const int first = rack < 0 ? 0 : first_machine_of_rack(rack);
+  const int size = rack < 0 ? machines() : config_.machines_per_rack;
+  const int healthy = rack >= 0 ? healthy_in_rack(rack)
+                                : std::accumulate(healthy_per_rack_.begin(),
+                                                  healthy_per_rack_.end(), 0);
+  const bool skip = exclude >= first && exclude < first + size;
+  const int eligible = healthy - (skip && is_up(exclude) ? 1 : 0);
+  if (eligible == 0) return -1;
+  int k = static_cast<int>(rng.index(static_cast<std::size_t>(eligible)));
+  if (healthy == size) {
+    // Every machine is up: the k-th eligible id is arithmetic.
+    return first + k + (skip && first + k >= exclude ? 1 : 0);
+  }
+  for (int m = first;; ++m) {
+    if (m != exclude && up_[static_cast<std::size_t>(m)] && k-- == 0) {
+      return m;
+    }
+  }
+}
+
+int ClusterTopology::random_healthy_machine_outside(int rack,
+                                                    Rng& rng) const {
+  const bool skip = rack >= 0 && healthy_in_rack(rack) > 0;
+  const int eligible = live_racks_ - (skip ? 1 : 0);
+  if (eligible == 0) return -1;
+  int k = static_cast<int>(rng.index(static_cast<std::size_t>(eligible)));
+  int target = k + (skip && k >= rack ? 1 : 0);
+  if (live_racks_ < racks()) {
+    for (target = 0;; ++target) {
+      if (target != rack && healthy_in_rack(target) > 0 && k-- == 0) break;
+    }
+  }
+  return random_healthy_machine(target, /*exclude=*/-1, rng);
 }
 
 }  // namespace corral

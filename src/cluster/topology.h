@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "util/check.h"
+#include "util/rng.h"
 #include "util/units.h"
 
 namespace corral {
@@ -97,8 +98,6 @@ class ClusterTopology {
             "rack_of: machine id out of range");
     return machine / config_.machines_per_rack;
   }
-  // Machine ids of rack r, in increasing order.
-  std::vector<int> machines_in_rack(int rack) const;
   int first_machine_of_rack(int rack) const {
     require(rack >= 0 && rack < racks(),
             "first_machine_of_rack: rack out of range");
@@ -126,10 +125,22 @@ class ClusterTopology {
   // planning universe after failures (§7 plan repair).
   std::vector<int> usable_racks(double min_fraction) const;
 
+  // Uniformly random healthy machine of `rack` (-1: of the whole cluster)
+  // other than `exclude` (-1 for none), or -1 when there is none. Makes one
+  // rng.index(n) draw over the n eligible machines, and takes the draw's
+  // machine in id order, unless n is 0.
+  int random_healthy_machine(int rack, int exclude, Rng& rng) const;
+  // Uniformly random rack other than `rack` (-1 for none) that has a
+  // healthy machine, then a random healthy machine in it: one rng.index draw
+  // over the eligible racks, then random_healthy_machine's. -1 (and no
+  // draw) when no such rack exists.
+  int random_healthy_machine_outside(int rack, Rng& rng) const;
+
  private:
   ClusterConfig config_;
   std::vector<bool> up_;
   std::vector<int> healthy_per_rack_;
+  int live_racks_ = 0;  // racks with at least one healthy machine
 };
 
 }  // namespace corral

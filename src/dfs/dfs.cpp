@@ -143,18 +143,6 @@ void Dfs::add_replica(const std::string& name, int chunk, int machine) {
       location.bytes;
 }
 
-Bytes Dfs::machine_bytes(int machine) const {
-  require(machine >= 0 && machine < topology_->machines(),
-          "machine_bytes: id out of range");
-  return machine_bytes_[static_cast<std::size_t>(machine)];
-}
-
-Bytes Dfs::rack_bytes(int rack) const {
-  require(rack >= 0 && rack < topology_->racks(),
-          "rack_bytes: id out of range");
-  return rack_bytes_[static_cast<std::size_t>(rack)];
-}
-
 std::vector<double> Dfs::rack_load_vector() const { return rack_bytes_; }
 
 double Dfs::rack_balance_cov() const {

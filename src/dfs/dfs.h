@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "cluster/topology.h"
+#include "util/check.h"
 #include "util/rng.h"
 #include "util/units.h"
 
@@ -86,9 +87,17 @@ class Dfs {
   const DfsConfig& config() const { return config_; }
 
   // Stored bytes per machine / per rack (for balance metrics and
-  // least-loaded placement decisions).
-  Bytes machine_bytes(int machine) const;
-  Bytes rack_bytes(int rack) const;
+  // least-loaded placement decisions; inline for CorralPlacement's scans).
+  Bytes machine_bytes(int machine) const {
+    require(machine >= 0 && machine < topology_->machines(),
+            "machine_bytes: id out of range");
+    return machine_bytes_[static_cast<std::size_t>(machine)];
+  }
+  Bytes rack_bytes(int rack) const {
+    require(rack >= 0 && rack < topology_->racks(),
+            "rack_bytes: id out of range");
+    return rack_bytes_[static_cast<std::size_t>(rack)];
+  }
   std::vector<double> rack_load_vector() const;
 
   // Coefficient of variation of per-rack stored bytes — the data-balance

@@ -1,41 +1,10 @@
 #include "dfs/placement.h"
 
-#include <algorithm>
 #include <limits>
 
 #include "util/check.h"
 
 namespace corral {
-namespace {
-
-// Uniformly random healthy machine in `rack`, excluding `exclude` (-1 for
-// none). Returns -1 when no eligible machine exists.
-int random_machine_in_rack(const ClusterTopology& topology, int rack,
-                           int exclude, Rng& rng) {
-  std::vector<int> eligible;
-  for (int m : topology.machines_in_rack(rack)) {
-    if (m != exclude && topology.is_up(m)) eligible.push_back(m);
-  }
-  if (eligible.empty()) return -1;
-  return eligible[rng.index(eligible.size())];
-}
-
-// Uniformly random healthy machine anywhere, excluding one rack (-1 for
-// none). Returns -1 when no eligible machine exists.
-int random_machine_excluding_rack(const ClusterTopology& topology,
-                                  int excluded_rack, Rng& rng) {
-  std::vector<int> candidate_racks;
-  for (int r = 0; r < topology.racks(); ++r) {
-    if (r != excluded_rack && topology.healthy_in_rack(r) > 0) {
-      candidate_racks.push_back(r);
-    }
-  }
-  if (candidate_racks.empty()) return -1;
-  const int rack = candidate_racks[rng.index(candidate_racks.size())];
-  return random_machine_in_rack(topology, rack, /*exclude=*/-1, rng);
-}
-
-}  // namespace
 
 std::vector<int> DefaultPlacement::place_chunk(const Dfs& dfs, int replicas,
                                                Rng& rng) {
@@ -43,7 +12,8 @@ std::vector<int> DefaultPlacement::place_chunk(const Dfs& dfs, int replicas,
   std::vector<int> machines;
   machines.reserve(static_cast<std::size_t>(replicas));
 
-  // First replica: uniformly random healthy machine.
+  // First replica: uniformly random healthy machine, by rejection draws and,
+  // should they all miss, one draw over the healthy machines.
   int first = -1;
   for (int attempt = 0; attempt < topology.machines() && first < 0;
        ++attempt) {
@@ -51,29 +21,25 @@ std::vector<int> DefaultPlacement::place_chunk(const Dfs& dfs, int replicas,
         static_cast<std::size_t>(topology.machines())));
     if (topology.is_up(m)) first = m;
   }
+  if (first < 0) first = topology.random_healthy_machine(-1, -1, rng);
   require(first >= 0, "DefaultPlacement: no healthy machine");
   machines.push_back(first);
+  const int rack = topology.rack_of(first);
 
   // Second replica: same rack, different machine (HDFS's 2-in-one-rack rule).
   if (replicas >= 2) {
-    const int same_rack =
-        random_machine_in_rack(topology, topology.rack_of(first), first, rng);
+    const int same_rack = topology.random_healthy_machine(rack, first, rng);
     machines.push_back(same_rack >= 0 ? same_rack : first);
   }
 
   // Third and further replicas: a different rack.
   while (static_cast<int>(machines.size()) < replicas) {
-    const int other = random_machine_excluding_rack(
-        topology, topology.rack_of(first), rng);
+    int other = topology.random_healthy_machine_outside(rack, rng);
     if (other < 0) {
       // Degenerate single-rack cluster: fall back to any distinct machine.
-      const int fallback =
-          random_machine_in_rack(topology, topology.rack_of(first), first,
-                                 rng);
-      machines.push_back(fallback >= 0 ? fallback : first);
-    } else {
-      machines.push_back(other);
+      other = topology.random_healthy_machine(rack, first, rng);
     }
+    machines.push_back(other >= 0 ? other : first);
   }
   return machines;
 }
@@ -94,28 +60,34 @@ std::vector<int> CorralPlacement::place_chunk(const Dfs& dfs, int replicas,
 
   // Primary replica: a randomly chosen rack from R_j (§3.1), least-loaded
   // healthy machine within it so machines inside the rack stay balanced.
-  std::vector<int> usable;
+  int usable = 0;
   for (int r : target_racks_) {
-    if (topology.healthy_in_rack(r) > 0) usable.push_back(r);
+    if (topology.healthy_in_rack(r) > 0) ++usable;
   }
-  std::vector<int> machines;
-  if (usable.empty()) {
+  if (usable == 0) {
     // All assigned racks are down: fall back to the default policy (§3.1:
     // "If the assigned locations are not available ... ignore the
     // guidelines").
     DefaultPlacement fallback;
     return fallback.place_chunk(dfs, replicas, rng);
   }
-  const int primary_rack = usable[rng.index(usable.size())];
+  auto k = rng.index(static_cast<std::size_t>(usable));
+  int primary_rack = -1;
+  for (auto r = target_racks_.begin(); primary_rack < 0; ++r) {
+    if (topology.healthy_in_rack(*r) > 0 && k-- == 0) primary_rack = *r;
+  }
   int primary = -1;
   Bytes primary_load = std::numeric_limits<Bytes>::max();
-  for (int m : topology.machines_in_rack(primary_rack)) {
+  const int first = topology.first_machine_of_rack(primary_rack);
+  for (int m = first; m < first + topology.config().machines_per_rack; ++m) {
     if (topology.is_up(m) && dfs.machine_bytes(m) < primary_load) {
       primary = m;
       primary_load = dfs.machine_bytes(m);
     }
   }
   ensure(primary >= 0, "CorralPlacement: healthy rack without machines");
+  std::vector<int> machines;
+  machines.reserve(static_cast<std::size_t>(replicas));
   machines.push_back(primary);
 
   // Remaining replicas: together on the least-loaded rack other than the
@@ -135,11 +107,9 @@ std::vector<int> CorralPlacement::place_chunk(const Dfs& dfs, int replicas,
     int m = -1;
     if (spare_rack >= 0) {
       const int exclude = machines.size() >= 2 ? machines.back() : -1;
-      m = random_machine_in_rack(topology, spare_rack, exclude, rng);
+      m = topology.random_healthy_machine(spare_rack, exclude, rng);
     }
-    if (m < 0) {
-      m = random_machine_in_rack(topology, primary_rack, primary, rng);
-    }
+    if (m < 0) m = topology.random_healthy_machine(primary_rack, primary, rng);
     machines.push_back(m >= 0 ? m : primary);
   }
   return machines;

@@ -733,7 +733,7 @@ class Simulator {
       // HDFS write pipeline: the off-rack replica transits the core and
       // holds the slot; the same-rack copy proceeds at full bisection off
       // the critical path and is not modelled.
-      const int remote = random_machine_excluding_rack(rack);
+      const int remote = topology_.random_healthy_machine_outside(rack, rng_);
       if (remote >= 0) {
         const int attempt = T.attempt[st];
         note_flow(network_.start_flow(FlowDesc{
@@ -1359,7 +1359,8 @@ class Simulator {
         if (!topology_.is_up(src)) break;  // will be killed by the scan
         // The write target died: restart the replica write elsewhere.
         const int remote =
-            random_machine_excluding_rack(topology_.rack_of(src));
+            topology_.random_healthy_machine_outside(topology_.rack_of(src),
+                                                     rng_);
         if (remote >= 0 && remote != dead_machine) {
           note_flow(network_.start_flow(FlowDesc{
               src, remote, flow.total, 1.0, /*coflow=*/-1, flow.tag}));
@@ -1576,22 +1577,6 @@ class Simulator {
       if (any_healthy < 0) any_healthy = m;
     }
     return any_healthy;
-  }
-
-  int random_machine_excluding_rack(int rack) {
-    std::vector<int> candidates;
-    for (int r = 0; r < topology_.racks(); ++r) {
-      if (r != rack && topology_.healthy_in_rack(r) > 0) {
-        candidates.push_back(r);
-      }
-    }
-    if (candidates.empty()) return -1;
-    const int target = candidates[rng_.index(candidates.size())];
-    std::vector<int> machines;
-    for (int m : topology_.machines_in_rack(target)) {
-      if (topology_.is_up(m)) machines.push_back(m);
-    }
-    return machines[rng_.index(machines.size())];
   }
 
   void free_slot(int machine) {
