@@ -3,6 +3,9 @@
 #include <cmath>
 
 #include "corral/latency_model.h"
+#include "util/rng.h"
+#include "workload/tpch.h"
+#include "workload/workloads.h"
 
 namespace corral {
 namespace {
@@ -146,10 +149,47 @@ TEST(ResponseFunction, PrecomputesAllRackCounts) {
   const ResponseFunction f(job, 7, params);
   EXPECT_EQ(f.max_racks(), 7);
   for (int r = 1; r <= 7; ++r) {
-    EXPECT_NEAR(f.at(r), job_latency_with_penalty(job, r, params), 1e-9);
+    EXPECT_EQ(f.at(r), job_latency_with_penalty(job, r, params));
   }
   EXPECT_THROW(f.at(0), std::invalid_argument);
   EXPECT_THROW(f.at(8), std::invalid_argument);
+}
+
+// The table is the per-r function bit for bit, imbalance penalty included:
+// for W3's map-reduce jobs, the TPC-H query DAGs, a diamond, and a DAG with
+// three sources whose edges are listed out of topological order.
+TEST(ResponseFunction, EqualsThePerRackLatencyExactly) {
+  LatencyModelParams params = testbed_params();
+  params.alpha = params.default_alpha();
+  Rng rng(3);
+  W3Config w3;
+  w3.num_jobs = 40;
+  std::vector<JobSpec> jobs = make_w3(w3, rng);
+  for (JobSpec& job : make_tpch(TpchConfig{}, rng)) jobs.push_back(job);
+  jobs.push_back(JobSpec::map_reduce(1, "mr", shuffle_heavy_job()));
+
+  JobSpec diamond;
+  diamond.stages.assign(4, shuffle_heavy_job());
+  diamond.stages[2].input_bytes *= 4;
+  diamond.edges = {{0, 1}, {0, 2}, {1, 3}, {2, 3}};
+  jobs.push_back(diamond);
+
+  JobSpec sources;
+  sources.stages.assign(6, shuffle_heavy_job());
+  for (std::size_t s = 0; s < sources.stages.size(); ++s) {
+    sources.stages[s].input_bytes *= static_cast<double>(s + 1);
+    sources.stages[s].num_maps = 100 * static_cast<int>(s + 1);
+  }
+  sources.edges = {{4, 5}, {2, 4}, {0, 3}, {3, 5}, {1, 3}, {0, 4}};
+  jobs.push_back(sources);
+
+  for (const JobSpec& job : jobs) {
+    const ResponseFunction f(job, 60, params);
+    for (int r = 1; r <= 60; ++r) {
+      EXPECT_EQ(f.at(r), job_latency_with_penalty(job, r, params))
+          << job.name << " r=" << r;
+    }
+  }
 }
 
 TEST(ResponseFunction, BestRacksMinimizesLatency) {
