@@ -7,6 +7,7 @@
 #ifndef CORRAL_JOBS_DAG_H_
 #define CORRAL_JOBS_DAG_H_
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -32,6 +33,32 @@ struct CriticalPath {
 // Requires weights.size() == num_nodes and an acyclic graph.
 CriticalPath critical_path(int num_nodes, std::span<const DagEdge> edges,
                            std::span<const double> node_weights);
+
+// critical_path for one graph under many weightings: the topological order
+// and every node's predecessors (one flat array, in edge order) are built
+// once, and each call runs only the longest-path pass, without allocating
+// unless a path is returned. The latency model evaluates a DAG job's
+// critical path at every rack count this way.
+class CriticalPathSolver {
+ public:
+  // Throws like topological_order.
+  CriticalPathSolver(int num_nodes, std::span<const DagEdge> edges);
+
+  // critical_path(num_nodes, edges, node_weights).length.
+  double length(std::span<const double> node_weights);
+  CriticalPath path(std::span<const double> node_weights);
+
+ private:
+  // Fills dist_ and pred_; returns the first node of greatest distance.
+  std::size_t relax(std::span<const double> node_weights);
+
+  std::vector<int> order_;  // declared first: it validates the graph
+  // Node v's predecessors are preds_[pred_start_[v] .. pred_start_[v + 1]).
+  std::vector<int> pred_start_;
+  std::vector<int> preds_;
+  std::vector<double> dist_;
+  std::vector<int> pred_;
+};
 
 }  // namespace corral
 

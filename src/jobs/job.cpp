@@ -49,8 +49,12 @@ int JobSpec::max_parallelism() const {
 
 Bytes JobSpec::total_input() const {
   Bytes total = 0;
-  for (int s : source_stages()) {
-    total += stages[static_cast<std::size_t>(s)].input_bytes;
+  for (std::size_t s = 0; s < stages.size(); ++s) {
+    const bool source =
+        std::none_of(edges.begin(), edges.end(), [s](const DagEdge& e) {
+          return e.to == static_cast<int>(s);
+        });
+    if (source) total += stages[s].input_bytes;
   }
   return total;
 }
