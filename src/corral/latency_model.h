@@ -16,6 +16,7 @@
 
 #include "cluster/topology.h"
 #include "jobs/job.h"
+#include "util/check.h"
 
 namespace corral {
 
@@ -71,8 +72,13 @@ class ResponseFunction {
   ResponseFunction(std::vector<Seconds> latency_by_racks, Seconds arrival);
 
   int max_racks() const { return static_cast<int>(latency_.size()); }
-  // r must be in [1, max_racks()].
-  Seconds at(int racks) const;
+  // r must be in [1, max_racks()]. Inline: the provisioning search reads
+  // the table once per job for every candidate it evaluates.
+  Seconds at(int racks) const {
+    require(racks >= 1 && racks <= max_racks(),
+            "ResponseFunction::at: racks out of range");
+    return latency_[static_cast<std::size_t>(racks - 1)];
+  }
   Seconds arrival() const { return arrival_; }
   Seconds min_latency() const;
   // Rack count attaining min_latency (smallest such r).
