@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <vector>
+
 #include "jobs/dag.h"
 #include "jobs/job.h"
+#include "util/rng.h"
 
 namespace corral {
 namespace {
@@ -57,6 +62,96 @@ TEST(Dag, CriticalPathOfIndependentNodesIsHeaviestNode) {
 TEST(Dag, CriticalPathValidatesWeightCount) {
   const std::vector<double> weights = {1.0};
   EXPECT_THROW(critical_path(2, {}, weights), std::invalid_argument);
+}
+
+// Kahn's algorithm with one adjacency vector per node and a LIFO ready
+// stack: the visiting order topological_order keeps.
+std::vector<int> reference_order(int n, const std::vector<DagEdge>& edges) {
+  std::vector<int> indegree(static_cast<std::size_t>(n), 0);
+  std::vector<std::vector<int>> next(static_cast<std::size_t>(n));
+  for (const DagEdge& e : edges) {
+    next[static_cast<std::size_t>(e.from)].push_back(e.to);
+    ++indegree[static_cast<std::size_t>(e.to)];
+  }
+  std::vector<int> ready;
+  for (int v = 0; v < n; ++v) {
+    if (indegree[static_cast<std::size_t>(v)] == 0) ready.push_back(v);
+  }
+  std::vector<int> order;
+  while (!ready.empty()) {
+    const int v = ready.back();
+    ready.pop_back();
+    order.push_back(v);
+    for (int w : next[static_cast<std::size_t>(v)]) {
+      if (--indegree[static_cast<std::size_t>(w)] == 0) ready.push_back(w);
+    }
+  }
+  return order;
+}
+
+// Longest path ending at v, by recursion over the edge list.
+double reference_distance(int v, const std::vector<DagEdge>& edges,
+                          const std::vector<double>& weights) {
+  double best = 0.0;
+  for (const DagEdge& e : edges) {
+    if (e.to == v) {
+      best = std::max(best, reference_distance(e.from, edges, weights));
+    }
+  }
+  return best + weights[static_cast<std::size_t>(v)];
+}
+
+// Random DAGs with edges listed in shuffled order, several weightings per
+// graph through one solver: the order matches the reference's visit for
+// visit, the length the recursive longest path exactly, and the path is a
+// chain of edges whose weights add up to the length.
+TEST(Dag, SolverMatchesReferencesOverManyWeightings) {
+  Rng rng(11);
+  for (int trial = 0; trial < 60; ++trial) {
+    const int n = rng.uniform_int(1, 9);
+    std::vector<DagEdge> edges;
+    for (int a = 0; a < n; ++a) {
+      for (int b = a + 1; b < n; ++b) {
+        if (rng.uniform(0, 1) < 0.35) edges.push_back({a, b});
+      }
+    }
+    // Relabel nodes so edges do not always point to higher ids.
+    std::vector<int> label(static_cast<std::size_t>(n));
+    std::iota(label.begin(), label.end(), 0);
+    rng.shuffle(std::span<int>(label));
+    for (DagEdge& e : edges) {
+      e = {label[static_cast<std::size_t>(e.from)],
+           label[static_cast<std::size_t>(e.to)]};
+    }
+    rng.shuffle(std::span<DagEdge>(edges));
+    EXPECT_EQ(topological_order(n, edges), reference_order(n, edges));
+
+    CriticalPathSolver solver(n, edges);
+    for (int w = 0; w < 5; ++w) {
+      std::vector<double> weights;
+      for (int v = 0; v < n; ++v) {
+        weights.push_back(static_cast<double>(rng.uniform_int(0, 6)));
+      }
+      double want = 0.0;
+      for (int v = 0; v < n; ++v) {
+        want = std::max(want, reference_distance(v, edges, weights));
+      }
+      EXPECT_EQ(solver.length(weights), want);
+      const CriticalPath path = solver.path(weights);
+      EXPECT_EQ(path.length, want);
+      double sum = 0.0;
+      for (std::size_t i = 0; i < path.nodes.size(); ++i) {
+        sum += weights[static_cast<std::size_t>(path.nodes[i])];
+        if (i == 0) continue;
+        const DagEdge step{path.nodes[i - 1], path.nodes[i]};
+        EXPECT_TRUE(std::any_of(edges.begin(), edges.end(),
+                                [&](const DagEdge& e) {
+                                  return e.from == step.from && e.to == step.to;
+                                }));
+      }
+      EXPECT_EQ(sum, want);
+    }
+  }
 }
 
 TEST(JobSpec, MapReduceFactoryBuildsSingleStage) {
