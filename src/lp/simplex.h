@@ -21,9 +21,8 @@ struct LpSolution {
   LpStatus status = LpStatus::kIterationLimit;
   double objective = 0.0;
   std::vector<double> x;  // one value per declared variable
-  // Pivots performed across both phases. Deterministic for a given problem,
-  // so callers (LpRoundBackend) can use it as a width-independent cost
-  // measure the way the planner counts candidate evaluations.
+  // Pivots performed across both phases. Deterministic for a given
+  // problem: two solves of the same LP pivot the same number of times.
   int iterations = 0;
 
   bool optimal() const { return status == LpStatus::kOptimal; }

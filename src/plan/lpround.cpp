@@ -8,11 +8,11 @@
 //   subject to sum_r x_r = 1,  sum_r L_j(r) * x_r <= T,  x >= 0
 //
 // and T is feasible when the summed minimal work fits the cluster's
-// capacity T * R. This backend binary-searches the smallest feasible T*
-// (the LP bound, identical to lp_batch_makespan_bound up to the search
-// tolerance), then rounds: each job's optimal basic solution has at most
-// two nonzero x_r (the LP has two rows), so the largest fractional share is
-// >= 1/2 — picking that width r_j gives L_j(r_j) <= 2 T* and work
+// capacity T * R. solve_lp_batch (src/corral/lp_bound.h) finds the smallest
+// feasible T* in closed form and reads each job's optimal basic solution
+// there off its convex work envelope. This backend rounds it: the LP has
+// two rows, so the solution has at most two nonzero x_r and the largest
+// share is >= 1/2 — picking that width r_j gives L_j(r_j) <= 2 T* and work
 // r_j L_j(r_j) <= 2 * (fractional work). Widest-first LPT prioritization
 // over those widths then yields a makespan within a small constant of T*
 // (<= 4x on batch instances: 2x from rounding, 2x from list scheduling;
@@ -20,64 +20,26 @@
 // Murray, Khuller and Chao develop this primal-dual/rounding family for
 // distributed-cluster scheduling; this is its rack-granular cousin.
 //
-// Determinism: per-job LPs solve in parallel on the configured pool but
-// reduce in job order; the simplex pivot sequence is a pure function of the
-// problem, so T*, the rounding and the iteration counts are byte-identical
-// at any --threads width. Ties in the largest-share pick break toward the
-// smallest width.
+// Cost: the envelopes read J * R (job, width) points, and prioritize() is
+// one pass, so evaluated_candidates = J * R + 1 — the unit DagPack's
+// residual scan counts in. Ties in the largest-share pick break toward the
+// smallest width. The solution reduces in job order, so the plan is
+// byte-identical at any --threads width.
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "exec/exec.h"
-#include "lp/simplex.h"
+#include "corral/lp_bound.h"
 #include "obs/trace.h"
 #include "plan/backend.h"
 #include "util/check.h"
 
 namespace corral::plan {
-namespace {
 
-struct JobLpResult {
-  double work = 0.0;          // LP objective: minimal work under budget T
-  std::vector<double> x;      // fractional rack assignment, x[r-1]
-  int iterations = 0;         // simplex pivots
-  bool feasible = true;
-};
-
-// Solves one job's two-row LP at latency budget T.
-JobLpResult solve_job_lp(const ResponseFunction& job, int num_racks,
-                         double budget) {
-  LpProblem lp(num_racks);
-  std::vector<double> objective(static_cast<std::size_t>(num_racks));
-  std::vector<double> ones(static_cast<std::size_t>(num_racks), 1.0);
-  std::vector<double> latency(static_cast<std::size_t>(num_racks));
-  for (int r = 1; r <= num_racks; ++r) {
-    const double l = job.at(r);
-    latency[static_cast<std::size_t>(r) - 1] = l;
-    objective[static_cast<std::size_t>(r) - 1] = static_cast<double>(r) * l;
-  }
-  lp.minimize(std::move(objective));
-  lp.add_constraint(std::move(ones), Relation::kEqual, 1.0);
-  lp.add_constraint(std::move(latency), Relation::kLessEqual, budget);
-  const LpSolution solution = lp.solve();
-  JobLpResult result;
-  result.iterations = solution.iterations;
-  if (!solution.optimal()) {
-    result.feasible = false;
-    return result;
-  }
-  result.work = solution.objective;
-  result.x = solution.x;
-  return result;
+std::string_view LpRoundBackend::name() const {
+  return to_string(PlannerBackendKind::kLpRound);
 }
-
-}  // namespace
-
-std::string_view LpRoundBackend::name() const { return "lpround"; }
 
 ProvisionPlan LpRoundBackend::plan(const PlannerRequest& request) const {
   require(request.config != nullptr, "LpRoundBackend: config is required");
@@ -93,9 +55,11 @@ ProvisionPlan LpRoundBackend::plan(const PlannerRequest& request) const {
   ProvisionPlan result;
   result.backend = PlannerBackendKind::kLpRound;
   if (J == 0) return result;
+  if (config.placements != nullptr) {
+    require(config.placements->size() == J,
+            "LpRoundBackend: placements must cover every job");
+  }
 
-  exec::ThreadPool& pool =
-      config.pool != nullptr ? *config.pool : exec::ThreadPool::shared();
   const obs::TraceRecorder trace(config.tracer, config.trace_sink, "planner");
   const auto trace_begin = std::chrono::steady_clock::now();
   const auto clock_at = [&](double step) {
@@ -105,87 +69,16 @@ ProvisionPlan LpRoundBackend::plan(const PlannerRequest& request) const {
         .count();
   };
 
-  std::size_t total_iterations = 0;
-  // Solves every job's LP at budget T in parallel, reducing work and pivot
-  // counts in job order.
-  const auto sweep = [&](double budget) {
-    std::vector<JobLpResult> results = exec::parallel_map(
-        pool, J, [&](int, std::size_t j) {
-          return solve_job_lp(request.jobs[j], R, budget);
-        });
-    double total_work = 0.0;
-    bool feasible = true;
-    for (const JobLpResult& r : results) {
-      total_iterations += static_cast<std::size_t>(r.iterations);
-      total_work += r.work;
-      feasible = feasible && r.feasible;
-    }
-    return std::tuple(feasible, total_work, std::move(results));
-  };
+  const LpBatchSolution solution =
+      solve_lp_batch(request.jobs, R, config.pool);
+  result.lp_bound = solution.bound;
 
-  // Search window: T* is at least the widest job's best latency and at
-  // least the aggregate minimal work spread over R racks.
-  double lo = 0.0;
-  double total_min_work = 0.0;
-  for (const ResponseFunction& job : request.jobs) {
-    lo = std::max(lo, job.min_latency());
-    double min_work = job.at(1);
-    for (int r = 2; r <= R; ++r) {
-      min_work = std::min(min_work, static_cast<double>(r) * job.at(r));
-    }
-    total_min_work += min_work;
-  }
-  lo = std::max(lo, total_min_work / static_cast<double>(R));
-
-  double step = 0.0;
-  const auto is_feasible = [&](double budget) {
-    auto [feasible, total_work, results] = sweep(budget);
-    (void)results;
-    if (trace.at(obs::TraceLevel::kTasks)) {
-      trace.instant(obs::TraceTrack::kPlanner, "bisect", "planner", 0,
-                    clock_at(step),
-                    {obs::arg("budget_s", budget),
-                     obs::arg("total_work", total_work),
-                     obs::arg("feasible", feasible &&
-                                      total_work <=
-                                          budget * R * (1.0 + 1e-12)
-                                  ? 1.0
-                                  : 0.0)});
-    }
-    step += 1.0;
-    return feasible && total_work <= budget * R * (1.0 + 1e-12);
-  };
-
-  double hi = lo;
-  for (int doubling = 0; !is_feasible(hi) && doubling < 64; ++doubling) {
-    lo = hi;
-    hi = hi == 0.0 ? 1.0 : hi * 2.0;
-  }
-  for (int iter = 0; iter < 100 && hi - lo > 1e-9 * hi; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    if (is_feasible(mid)) {
-      hi = mid;
-    } else {
-      lo = mid;
-    }
-  }
-  const double bound = hi;
-  result.lp_bound = bound;
-
-  // Final fractional solution at T*, rounded by largest fractional share
-  // (ties toward the smallest width). Placement constraints cap the
-  // rounding at each job's eligible rack count; the prioritize() call below
-  // then enforces rack-level feasibility through config.placements.
-  auto [feasible, total_work, finals] = sweep(bound);
-  ensure(feasible, "LpRoundBackend: final LP sweep infeasible at the bound");
-  (void)total_work;
-  if (config.placements != nullptr) {
-    require(config.placements->size() == J,
-            "LpRoundBackend: placements must cover every job");
-  }
+  // Round each job's fractional solution by largest share (ties toward the
+  // smallest width). Placement constraints cap the rounding at each job's
+  // eligible rack count; the prioritize() call below then enforces
+  // rack-level feasibility through config.placements.
   std::vector<int> racks_per_job(J, 1);
   for (std::size_t j = 0; j < J; ++j) {
-    const std::vector<double>& x = finals[j].x;
     int max_r = R;
     if (config.placements != nullptr) {
       max_r = std::min(R, (*config.placements)[j].eligible_count);
@@ -193,7 +86,10 @@ ProvisionPlan LpRoundBackend::plan(const PlannerRequest& request) const {
     int best_r = 1;
     double best_share = -1.0;
     for (int r = 1; r <= max_r; ++r) {
-      const double share = x[static_cast<std::size_t>(r) - 1];
+      double share = 0.0;
+      for (const LpBatchSolution::Width& width : solution.widths[j]) {
+        if (width.racks == r) share += width.share;
+      }
       if (share > best_share + 1e-12) {
         best_share = share;
         best_r = r;
@@ -203,14 +99,13 @@ ProvisionPlan LpRoundBackend::plan(const PlannerRequest& request) const {
   }
 
   result.plan = prioritize(request.jobs, racks_per_job, R, config);
-  result.plan.evaluated_candidates = total_iterations + 1;
+  result.plan.evaluated_candidates = J * static_cast<std::size_t>(R) + 1;
   if (trace.at(obs::TraceLevel::kJobs)) {
     trace.span(obs::TraceTrack::kPlanner, "lpround", "planner", 0,
-               clock_at(0.0), clock_at(step),
+               clock_at(0.0),
+               clock_at(static_cast<double>(result.plan.evaluated_candidates)),
                {obs::arg("jobs", static_cast<double>(J)),
-                obs::arg("lp_bound_s", bound),
-                obs::arg("simplex_iterations",
-                         static_cast<double>(total_iterations)),
+                obs::arg("lp_bound_s", solution.bound),
                 obs::arg("predicted_makespan_s",
                          result.plan.predicted_makespan)});
   }

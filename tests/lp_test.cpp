@@ -179,8 +179,8 @@ TEST(Simplex, ReportsIterationCount) {
 TEST(Simplex, TiedPivotsResolveDeterministically) {
   // max x + y s.t. x + y <= 1: every point on the facet is optimal and the
   // entering-column choice is tied. Two identical solves must agree on the
-  // vertex AND the pivot count (the deterministic-cost contract the plan
-  // cache and LpRoundBackend rely on).
+  // vertex AND the pivot count (the determinism contract the plan cache
+  // relies on).
   const auto solve_once = [] {
     LpProblem lp(2);
     lp.maximize({1, 1});
