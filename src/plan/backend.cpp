@@ -1,10 +1,21 @@
 #include "plan/backend.h"
 
+#include <algorithm>
+#include <array>
+
 #include "util/check.h"
 
 namespace corral::plan {
 
-std::string_view CorralBackend::name() const { return "corral"; }
+// Flag spellings, indexed by PlannerBackendKind's value.
+constexpr std::array<std::string_view, 3> kPlannerBackendNames = {
+    "corral", "dagpack", "lpround"};
+static_assert(kPlannerBackendNames.size() ==
+              static_cast<std::size_t>(PlannerBackendKind::kLpRound) + 1);
+
+std::string_view CorralBackend::name() const {
+  return to_string(PlannerBackendKind::kCorral);
+}
 
 ProvisionPlan CorralBackend::plan(const PlannerRequest& request) const {
   require(request.config != nullptr, "CorralBackend: config is required");
@@ -32,23 +43,24 @@ const PlannerBackend& planner_backend(PlannerBackendKind kind) {
 }
 
 std::string_view to_string(PlannerBackendKind kind) {
-  return planner_backend(kind).name();
+  const auto index = static_cast<std::size_t>(kind);
+  require(index < kPlannerBackendNames.size(),
+          "to_string: unknown planner backend kind");
+  return kPlannerBackendNames[index];
 }
 
 bool parse_planner_backend(std::string_view name, PlannerBackendKind* out) {
-  for (const PlannerBackendKind kind :
-       {PlannerBackendKind::kCorral, PlannerBackendKind::kDagPack,
-        PlannerBackendKind::kLpRound}) {
-    if (name == planner_backend(kind).name()) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
+  const auto it = std::find(kPlannerBackendNames.begin(),
+                            kPlannerBackendNames.end(), name);
+  if (it == kPlannerBackendNames.end()) return false;
+  *out = static_cast<PlannerBackendKind>(it - kPlannerBackendNames.begin());
+  return true;
 }
 
-std::vector<std::string> planner_backend_names() {
-  return {"corral", "dagpack", "lpround"};
+const std::vector<std::string>& planner_backend_names() {
+  static const std::vector<std::string> names(kPlannerBackendNames.begin(),
+                                              kPlannerBackendNames.end());
+  return names;
 }
 
 }  // namespace corral::plan

@@ -73,10 +73,10 @@ class DagPackBackend : public PlannerBackend {
   ProvisionPlan plan(const PlannerRequest& request) const override;
 };
 
-// LP rounding: binary-searches the smallest feasible makespan budget of the
-// Appendix-A relaxation by solving the per-job LPs with src/lp/simplex,
-// rounds each job's fractional rack assignment by largest fractional share
-// (deterministic tie-breaks), and reports the LP value as lp_bound.
+// LP rounding: solves the Appendix-A relaxation in closed form
+// (solve_lp_batch, src/corral/lp_bound.h), rounds each job's fractional
+// rack assignment at the bound by largest share (deterministic
+// tie-breaks), and reports the LP value as lp_bound.
 class LpRoundBackend : public PlannerBackend {
  public:
   std::string_view name() const override;
@@ -86,10 +86,12 @@ class LpRoundBackend : public PlannerBackend {
 // Registry: the process-wide backend instances (stateless, safe to share).
 const PlannerBackend& planner_backend(PlannerBackendKind kind);
 
-// Flag-value names, in registry order: {"corral", "dagpack", "lpround"}.
+// Flag-value names, in PlannerBackendKind order: {"corral", "dagpack",
+// "lpround"}, all read from one table. parse_planner_backend returns false
+// on an unknown name and leaves *out untouched.
 std::string_view to_string(PlannerBackendKind kind);
 bool parse_planner_backend(std::string_view name, PlannerBackendKind* out);
-std::vector<std::string> planner_backend_names();
+const std::vector<std::string>& planner_backend_names();
 
 }  // namespace corral::plan
 

@@ -89,7 +89,9 @@ double troublesome_score(const ResponseFunction& job, const JobSpec* spec,
 
 }  // namespace
 
-std::string_view DagPackBackend::name() const { return "dagpack"; }
+std::string_view DagPackBackend::name() const {
+  return to_string(PlannerBackendKind::kDagPack);
+}
 
 ProvisionPlan DagPackBackend::plan(const PlannerRequest& request) const {
   require(request.config != nullptr, "DagPackBackend: config is required");
