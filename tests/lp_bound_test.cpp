@@ -57,6 +57,57 @@ TEST(LpBatchBound, MatchesSimplexOnRandomInstances) {
   }
 }
 
+// solve_lp_batch's per-job widths are a feasible LP-Batch solution at its
+// bound: shares are non-negative and sum to 1, each job's expected latency
+// fits the bound, and the summed work fits the capacity bound * R.
+TEST(LpBatchBound, SolutionIsFeasibleAtItsBound) {
+  Rng rng(31);
+  for (int trial = 0; trial < 20; ++trial) {
+    const int J = rng.uniform_int(1, 30);
+    const int R = rng.uniform_int(1, 12);
+    const auto jobs = random_instance(rng, J, R);
+    const LpBatchSolution solution = solve_lp_batch(jobs, R);
+    EXPECT_EQ(solution.bound, lp_batch_makespan_bound(jobs, R));
+    ASSERT_EQ(solution.widths.size(), jobs.size());
+    double total_work = 0;
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      double shares = 0;
+      double latency = 0;
+      for (const LpBatchSolution::Width& w : solution.widths[j]) {
+        ASSERT_GE(w.racks, 1);
+        ASSERT_LE(w.racks, R);
+        EXPECT_GE(w.share, 0.0);
+        shares += w.share;
+        latency += w.share * jobs[j].at(w.racks);
+        total_work += w.share * w.racks * jobs[j].at(w.racks);
+      }
+      EXPECT_NEAR(shares, 1.0, 1e-12) << "trial " << trial << " job " << j;
+      EXPECT_LE(latency, solution.bound * (1 + 1e-9)) << "trial " << trial;
+    }
+    EXPECT_LE(total_work, solution.bound * R * (1 + 1e-9))
+        << "trial " << trial;
+  }
+}
+
+TEST(LpBatchBound, SolutionWidthsAtTheEnvelopeVertices) {
+  // One perfectly parallel job: every width does 100 rack-seconds of work,
+  // so the bound 25 is met only by running on all 4 racks.
+  const std::vector<ResponseFunction> parallel = {speedup(100, 4)};
+  const LpBatchSolution one = solve_lp_batch(parallel, 4);
+  EXPECT_EQ(one.widths[0][0].racks, 4);
+  EXPECT_DOUBLE_EQ(one.widths[0][0].share, 1.0);
+  // Sequential jobs: widening only adds work, so the latency constraint
+  // never binds and each job takes its minimum-work width alone.
+  std::vector<ResponseFunction> sequential(
+      8, ResponseFunction({10.0, 10.0, 10.0, 10.0}, 0));
+  const LpBatchSolution flat = solve_lp_batch(sequential, 4);
+  for (const auto& widths : flat.widths) {
+    EXPECT_EQ(widths[0].racks, 1);
+    EXPECT_EQ(widths[0].share, 1.0);
+    EXPECT_EQ(widths[1].share, 0.0);
+  }
+}
+
 TEST(LpBatchBound, LowerBoundsTheHeuristic) {
   Rng rng(7);
   for (int trial = 0; trial < 10; ++trial) {
