@@ -1,6 +1,8 @@
 #include "tool_common.h"
 
+#include <charconv>
 #include <ostream>
+#include <system_error>
 
 #include "exec/exec.h"
 #include "obs/export.h"
@@ -86,6 +88,14 @@ void add_outage_flags(FlagParser& flags) {
                         "(repeatable)");
 }
 
+std::optional<int> parse_int(std::string_view text) {
+  int value = 0;
+  const char* last = text.data() + text.size();
+  const auto [end, error] = std::from_chars(text.data(), last, value);
+  if (error != std::errc() || end != last) return std::nullopt;
+  return value;
+}
+
 namespace {
 
 // Parses one --outage value of the form "epoch:rack".
@@ -94,14 +104,13 @@ RackOutage parse_outage(const std::string& text) {
   require(colon != std::string::npos && colon > 0 &&
               colon + 1 < text.size(),
           "--outage expects epoch:rack, got '" + text + "'");
-  std::size_t used = 0;
-  RackOutage outage;
-  outage.epoch = std::stoi(text.substr(0, colon), &used);
-  require(used == colon, "--outage: bad epoch in '" + text + "'");
-  const std::string rack_text = text.substr(colon + 1);
-  outage.rack = std::stoi(rack_text, &used);
-  require(used == rack_text.size(), "--outage: bad rack in '" + text + "'");
-  return outage;
+  const std::optional<int> epoch =
+      parse_int(std::string_view(text).substr(0, colon));
+  require(epoch.has_value(), "--outage: bad epoch in '" + text + "'");
+  const std::optional<int> rack =
+      parse_int(std::string_view(text).substr(colon + 1));
+  require(rack.has_value(), "--outage: bad rack in '" + text + "'");
+  return RackOutage{*epoch, *rack};
 }
 
 }  // namespace
@@ -144,17 +153,14 @@ ResourceClassConfig parse_resource_class(const std::string& text) {
       second == std::string::npos
           ? text.substr(first + 1)
           : text.substr(first + 1, second - first - 1);
-  std::size_t used = 0;
-  cls.units_per_rack = std::stoi(units_text, &used);
-  require(used == units_text.size() && !units_text.empty(),
-          "--resource-class: bad units in '" + text + "'");
+  const std::optional<int> units = parse_int(units_text);
+  require(units.has_value(), "--resource-class: bad units in '" + text + "'");
+  cls.units_per_rack = *units;
   if (second != std::string::npos) {
-    require(second + 1 < text.size(),
+    const std::optional<int> racks = parse_int(text.substr(second + 1));
+    require(racks.has_value(),
             "--resource-class: bad racks in '" + text + "'");
-    const std::string racks_text = text.substr(second + 1);
-    cls.equipped_racks = std::stoi(racks_text, &used);
-    require(used == racks_text.size(),
-            "--resource-class: bad racks in '" + text + "'");
+    cls.equipped_racks = *racks;
   }
   return cls;
 }

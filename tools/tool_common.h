@@ -5,7 +5,9 @@
 
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/topology.h"
@@ -61,6 +63,12 @@ void add_output_flags(FlagParser& flags, const OutputFlagSet& set = {});
 // paths. Must run before planning or simulating, like apply_threads_flag.
 ToolObservability apply_output_flags(const FlagParser& flags,
                                      const OutputFlagSet& set = {});
+
+// Parses `text` as a decimal int and nothing else: no sign other than
+// '-', no spaces, no trailing characters, no overflow. Every integer field
+// of a compound flag value (epoch:rack, tenant:weight, name:units:racks)
+// goes through it.
+std::optional<int> parse_int(std::string_view text);
 
 // Registers the rack-outage flag: --outage epoch:rack (repeatable).
 void add_outage_flags(FlagParser& flags);
