@@ -102,8 +102,8 @@ double planner_workload() {
 }
 
 // The alternative planner backends (src/plan/backend.h) on the same 150-job
-// instance: dagpack's troublesome-subgraph packing and lpround's per-job LP
-// bisection + rounding. Response functions are built outside the timed
+// instance: dagpack's troublesome-subgraph packing and lpround's closed-form
+// LP-Batch solve + rounding. Response functions are built outside the timed
 // region — the backend search is the regression target, the latency model
 // has its own coverage through the planner series.
 double backend_workload(PlannerBackendKind kind, int repeats) {
@@ -123,9 +123,9 @@ double backend_workload(PlannerBackendKind kind, int repeats) {
   request.num_racks = cluster.racks;
   request.config = &config;
   const plan::PlannerBackend& backend = plan::planner_backend(kind);
-  // One backend search takes milliseconds or less on this instance;
-  // `repeats` sizes the timed region so the 15% tolerance is well clear of
-  // timer noise.
+  // One backend search takes a fraction of a millisecond on this instance;
+  // `repeats` makes one region take 0.1-0.4 s, long enough that the 15%
+  // tolerance is well clear of timer noise.
   return time_region([&] {
     for (int repeat = 0; repeat < repeats; ++repeat) {
       (void)backend.plan(request);
@@ -208,7 +208,7 @@ const Series kSeries[] = {
     {"dagpack", "dagpack backend",
      [] { return backend_workload(PlannerBackendKind::kDagPack, 800); }},
     {"lpround", "lpround backend",
-     [] { return backend_workload(PlannerBackendKind::kLpRound, 60); }},
+     [] { return backend_workload(PlannerBackendKind::kLpRound, 800); }},
     {"ctrl", "ctrl loop (smoke)",
      [] { return ctrl_workload(NetPolicy::kTcp, 6); }},
     // The coflow-suite allocators on the same loop: lp-order re-solves its
