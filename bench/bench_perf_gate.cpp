@@ -116,7 +116,6 @@ double backend_workload(PlannerBackendKind kind, int repeats) {
   exec::ThreadPool pool(1);
   PlannerConfig config;
   config.pool = &pool;
-  config.backend = kind;
   plan::PlannerRequest request;
   request.jobs = functions;
   request.specs = jobs;

@@ -90,7 +90,6 @@ int main(int argc, char** argv) {
       config.pool = &bench::pool();
       for (std::size_t b = 0; b < backends.size(); ++b) {
         const PlannerBackendKind kind = backends[b];
-        config.backend = kind;
         plan::PlannerRequest request;
         request.jobs = functions;
         request.specs = workload.jobs;

@@ -123,7 +123,6 @@ int main(int argc, char** argv) {
       config.placements = &placements;
     }
     for (PlannerBackendKind kind : backends) {
-      config.backend = kind;
       plan::PlannerRequest request;
       request.jobs = functions;
       request.specs = workload.jobs;

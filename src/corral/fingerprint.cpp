@@ -116,7 +116,8 @@ std::uint64_t topology_fingerprint(const ClusterConfig& cluster,
   return f.value();
 }
 
-std::uint64_t planner_fingerprint(const PlannerConfig& config) {
+std::uint64_t planner_fingerprint(const PlannerConfig& config,
+                                  PlannerBackendKind backend) {
   Fingerprint f;
   f.mix(static_cast<std::uint64_t>(config.objective == Objective::kMakespan
                                        ? 0
@@ -125,7 +126,7 @@ std::uint64_t planner_fingerprint(const PlannerConfig& config) {
   f.mix(static_cast<std::uint64_t>(config.explore_full_range ? 1 : 0));
   // Backend id: switching --planner must miss the plan cache (the cached
   // plan was produced by a different algorithm).
-  f.mix(static_cast<std::uint64_t>(config.backend));
+  f.mix(static_cast<std::uint64_t>(backend));
   return f.value();
 }
 

@@ -63,9 +63,11 @@ std::uint64_t workload_fingerprint(std::span<const JobSpec> jobs,
 std::uint64_t topology_fingerprint(const ClusterConfig& cluster,
                                    std::span<const int> usable_racks = {});
 
-// Objective plus the §4.2 ablation switches. The pool/tracer fields are
-// execution detail, not plan semantics, and are excluded.
-std::uint64_t planner_fingerprint(const PlannerConfig& config);
+// Objective, the §4.2 ablation switches and the planning backend. The
+// pool/tracer fields are execution detail, not plan semantics, and are
+// excluded.
+std::uint64_t planner_fingerprint(const PlannerConfig& config,
+                                  PlannerBackendKind backend);
 
 // Latency-model parameters (for memoized response functions).
 std::uint64_t latency_params_fingerprint(const LatencyModelParams& params);

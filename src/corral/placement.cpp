@@ -1,6 +1,7 @@
 #include "corral/placement.h"
 
 #include <algorithm>
+#include <numeric>
 #include <string>
 
 #include "util/check.h"
@@ -91,6 +92,80 @@ std::vector<JobPlacement> remap_placements(
     remapped.push_back(std::move(view));
   }
   return remapped;
+}
+
+void RackClaims::reset(std::span<const JobPlacement> placements,
+                       int num_racks) {
+  placements_ = placements;
+  num_racks_ = num_racks;
+  constrained_ = any_constrained(placements);
+  if (!constrained_) return;
+  // Anti-affinity set ids are arbitrary ints; map them onto dense indices
+  // of one flattened [set][rack] mask.
+  set_ids_.clear();
+  for (const JobPlacement& p : placements) {
+    if (p.anti_affinity >= 0) set_ids_.push_back(p.anti_affinity);
+  }
+  std::sort(set_ids_.begin(), set_ids_.end());
+  set_ids_.erase(std::unique(set_ids_.begin(), set_ids_.end()),
+                 set_ids_.end());
+  job_set_.clear();
+  for (const JobPlacement& p : placements) {
+    job_set_.push_back(
+        p.anti_affinity < 0
+            ? -1
+            : static_cast<int>(std::lower_bound(set_ids_.begin(),
+                                                set_ids_.end(),
+                                                p.anti_affinity) -
+                               set_ids_.begin()));
+  }
+  const auto racks = static_cast<std::size_t>(num_racks);
+  set_rack_.assign(set_ids_.size() * racks, 0);
+  rack_used_.assign(racks, 0);
+  exclusive_rack_.assign(racks, 0);
+}
+
+void RackClaims::open_racks(int job, std::vector<int>& out) const {
+  out.clear();
+  if (!constrained_) {
+    out.resize(static_cast<std::size_t>(num_racks_));
+    std::iota(out.begin(), out.end(), 0);
+    return;
+  }
+  const auto sj = static_cast<std::size_t>(job);
+  const JobPlacement& pl = placements_[sj];
+  const int set = job_set_[sj];
+  const std::size_t row = static_cast<std::size_t>(std::max(set, 0)) *
+                          static_cast<std::size_t>(num_racks_);
+  for (int r = 0; r < num_racks_; ++r) {
+    const auto sr = static_cast<std::size_t>(r);
+    if (!pl.eligible[sr] || exclusive_rack_[sr]) continue;
+    if (pl.rack_exclusive && rack_used_[sr]) continue;
+    if (set >= 0 && set_rack_[row + sr]) continue;
+    out.push_back(r);
+  }
+}
+
+void RackClaims::claim(int job, std::span<const int> racks) {
+  if (!constrained_) return;
+  const auto sj = static_cast<std::size_t>(job);
+  const bool exclusive = placements_[sj].rack_exclusive;
+  const int set = job_set_[sj];
+  const std::size_t row = static_cast<std::size_t>(std::max(set, 0)) *
+                          static_cast<std::size_t>(num_racks_);
+  for (int r : racks) {
+    const auto sr = static_cast<std::size_t>(r);
+    rack_used_[sr] = 1;
+    if (exclusive) exclusive_rack_[sr] = 1;
+    if (set >= 0) set_rack_[row + sr] = 1;
+  }
+}
+
+void throw_unseatable(int job, int racks, std::size_t open) {
+  detail::throw_invalid_argument(
+      "placement: job " + std::to_string(job) + " needs " +
+      std::to_string(racks) + " racks but only " + std::to_string(open) +
+      " remain eligible after placement filters");
 }
 
 }  // namespace corral

@@ -8,9 +8,11 @@
 //     per-rack eligibility mask against the cluster's resource classes,
 //     rejecting malformed or unsatisfiable requests with deterministic
 //     errors before any search runs.
-//  2. The provisioning search and every PlannerBackend treat the masks,
+//  2. RackClaims, the one place the cross-job rule lives, treats the masks,
 //     anti-affinity sets and exclusivity as feasibility filters when racks
-//     are assigned (corral/planner.cpp run_prioritization).
+//     are assigned. Every PlannerBackend seats jobs through it: the
+//     prioritization phase (corral/planner.cpp run_prioritization) and
+//     DagPack's residual greedy.
 //
 // Resolution is a pure per-job function of (job, cluster) — cross-job
 // interactions (disjointness, exclusivity) bind only at assignment time —
@@ -18,6 +20,7 @@
 #ifndef CORRAL_CORRAL_PLACEMENT_H_
 #define CORRAL_CORRAL_PLACEMENT_H_
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -56,6 +59,44 @@ bool any_constrained(std::span<const JobPlacement> placements);
 std::vector<JobPlacement> remap_placements(
     std::span<const JobPlacement> placements, std::span<const JobSpec> jobs,
     std::span<const int> usable_racks);
+
+// The rack-claim ledger of one assignment pass: which racks job j may
+// still take, given the racks earlier jobs of the pass claimed. A rack is
+// open to j when j's eligibility mask allows it, no rack-exclusive job
+// claimed it, no member of j's anti-affinity set claimed it, and, when j is
+// rack-exclusive itself, no job claimed it at all. When no job is
+// constrained every rack is open and claim() records nothing.
+//
+// The ledger keeps its buffers across reset(), so a planner worker reuses
+// one for all its passes. It reads each mask at every rack id without a
+// bounds check: callers validate the request first (validate_inputs in
+// corral/planner.h), and the placements must outlive the pass.
+class RackClaims {
+ public:
+  // Starts a pass over `placements` (one per job, indexed by job; empty
+  // when no job carries one) on `num_racks` racks, with nothing claimed.
+  void reset(std::span<const JobPlacement> placements, int num_racks);
+
+  // Sets `out` to the racks open to `job`, in ascending id order.
+  void open_racks(int job, std::vector<int>& out) const;
+
+  // Records that `job` took `racks`.
+  void claim(int job, std::span<const int> racks);
+
+ private:
+  std::span<const JobPlacement> placements_;
+  int num_racks_ = 0;
+  bool constrained_ = false;
+  std::vector<int> set_ids_;          // sorted distinct anti-affinity ids
+  std::vector<int> job_set_;          // per job: index into set_ids_ or -1
+  std::vector<char> set_rack_;        // [set][rack]: claimed by a member
+  std::vector<char> rack_used_;       // claimed by any job
+  std::vector<char> exclusive_rack_;  // claimed by a rack-exclusive job
+};
+
+// Throws the std::invalid_argument of a pass that cannot seat `job`: it
+// needs `racks` racks but only `open` remain open to it.
+[[noreturn]] void throw_unseatable(int job, int racks, std::size_t open);
 
 }  // namespace corral
 

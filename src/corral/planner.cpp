@@ -1,7 +1,6 @@
 #include "corral/planner.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -20,44 +19,10 @@ struct Scratch {
   std::vector<int> order;        // job indices in scheduling order
   std::vector<Seconds> key;      // L_j(r_j) per job, precomputed for sorting
   std::vector<Seconds> finish;   // F_i per rack
-  std::vector<int> rack_order;   // rack indices sorted by F_i
   std::vector<Seconds> sorted_finish;  // F values ascending (evaluation path)
-  // Constrained-pass state (corral/placement.h), rebuilt per pass:
-  std::vector<int> allowed;       // racks still open to the current job
-  std::vector<int> set_ids;       // sorted distinct anti-affinity set ids
-  std::vector<char> set_rack;     // [set][rack]: used by a member of the set
-  std::vector<char> rack_used;    // assigned to any job so far
-  std::vector<char> exclusive_rack;  // claimed by a rack-exclusive job
+  std::vector<int> open;         // racks open to the current job
+  RackClaims claims;             // the pass's placement ledger
 };
-
-// Timestamp source for planner trace events: logical step indices by
-// default (deterministic at any pool width), real elapsed seconds when the
-// tracer opted into wall clock (TracerOptions::wall_clock, profiling only).
-class PlanClock {
- public:
-  explicit PlanClock(bool wall)
-      : wall_(wall), start_(std::chrono::steady_clock::now()) {}
-
-  double at(double step) const {
-    if (!wall_) return step;
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start_)
-        .count();
-  }
-
- private:
-  bool wall_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-std::string rack_list_string(const std::vector<int>& racks) {
-  std::string out;
-  for (std::size_t i = 0; i < racks.size(); ++i) {
-    if (i > 0) out += ',';
-    out += std::to_string(racks[i]);
-  }
-  return out;
-}
 
 // Sorts `order` into scheduling order under `less`, a strict total order
 // on job indices. An order of the wrong size is rebuilt and sorted from
@@ -89,14 +54,13 @@ void sort_order(std::vector<int>& order, std::size_t J, Less less) {
 // chain windows. Returns {makespan, avg completion}; `final_finish` (when
 // non-null) receives the resulting F_i.
 //
-// When config.placements carries a real constraint, every job's rack pick
-// is filtered first: ineligible racks (resource classes), racks already
-// held by the job's anti-affinity set, racks claimed by a rack-exclusive
-// job, and — for exclusive jobs — racks any other job touched. A pass that
-// cannot seat a job returns infinity in evaluation mode (so the
-// provisioning search rejects the candidate) and throws a deterministic
-// error in plan-building mode. Cross-job state (set membership,
-// exclusivity) binds per pass — for plan_rolling that means per window.
+// When config.placements carries a real constraint, every job picks among
+// the racks the pass's RackClaims ledger leaves open to it
+// (corral/placement.h). A pass that cannot seat a job returns infinity in
+// evaluation mode (so the provisioning search rejects the candidate) and
+// throws a deterministic error in plan-building mode. Cross-job state (set
+// membership, exclusivity) binds per pass — for plan_rolling that means
+// per window.
 std::pair<Seconds, Seconds> run_prioritization(
     std::span<const ResponseFunction> jobs, std::span<const int> racks_per_job,
     int num_racks, const PlannerConfig& config, Scratch& scratch, Plan* plan,
@@ -188,24 +152,8 @@ std::pair<Seconds, Seconds> run_prioritization(
   } else {
     scratch.finish.assign(static_cast<std::size_t>(num_racks), 0.0);
   }
-  scratch.rack_order.resize(static_cast<std::size_t>(num_racks));
-
-  // Cross-job constraint state for this pass. Anti-affinity set ids are
-  // arbitrary ints; map them onto dense indices of one flattened mask.
-  if (constrained) {
-    scratch.set_ids.clear();
-    for (const JobPlacement& p : *placements) {
-      if (p.anti_affinity >= 0) scratch.set_ids.push_back(p.anti_affinity);
-    }
-    std::sort(scratch.set_ids.begin(), scratch.set_ids.end());
-    scratch.set_ids.erase(
-        std::unique(scratch.set_ids.begin(), scratch.set_ids.end()),
-        scratch.set_ids.end());
-    scratch.set_rack.assign(
-        scratch.set_ids.size() * static_cast<std::size_t>(num_racks), 0);
-    scratch.rack_used.assign(static_cast<std::size_t>(num_racks), 0);
-    scratch.exclusive_rack.assign(static_cast<std::size_t>(num_racks), 0);
-  }
+  scratch.claims.reset(
+      constrained ? *placements : std::span<const JobPlacement>(), num_racks);
 
   const auto rack_less = [&](int a, int b) {
     const Seconds fa = scratch.finish[static_cast<std::size_t>(a)];
@@ -222,80 +170,34 @@ std::pair<Seconds, Seconds> run_prioritization(
     const int rj = racks_per_job[sj];
     const Seconds latency = scratch.key[sj];
 
-    // Pick the r_j racks that free up earliest (among the racks the job's
-    // placement constraints leave open, in a constrained pass).
-    const JobPlacement* pl = constrained ? &(*placements)[sj] : nullptr;
-    int set_index = -1;
-    if (pl != nullptr && pl->anti_affinity >= 0) {
-      set_index = static_cast<int>(
-          std::lower_bound(scratch.set_ids.begin(), scratch.set_ids.end(),
-                           pl->anti_affinity) -
-          scratch.set_ids.begin());
-    }
-    if (constrained) {
-      scratch.allowed.clear();
-      for (int r = 0; r < num_racks; ++r) {
-        const auto sr = static_cast<std::size_t>(r);
-        if (!pl->eligible[sr]) continue;
-        if (scratch.exclusive_rack[sr]) continue;
-        if (pl->rack_exclusive && scratch.rack_used[sr]) continue;
-        if (set_index >= 0 &&
-            scratch.set_rack[static_cast<std::size_t>(set_index) *
-                                 static_cast<std::size_t>(num_racks) +
-                             sr]) {
-          continue;
-        }
-        scratch.allowed.push_back(r);
+    // Pick the r_j racks that free up earliest among the racks the job's
+    // placement constraints leave open (every rack, in an unconstrained
+    // pass).
+    std::vector<int>& open = scratch.open;
+    scratch.claims.open_racks(j, open);
+    if (static_cast<int>(open.size()) < rj) {
+      // Evaluation mode: the provisioning search treats an unseatable
+      // candidate as infinitely bad. Plan-building mode: the request is
+      // genuinely infeasible — fail with the offending job.
+      if (plan == nullptr) {
+        const Seconds inf = std::numeric_limits<Seconds>::infinity();
+        return {inf, inf};
       }
-      if (static_cast<int>(scratch.allowed.size()) < rj) {
-        // Evaluation mode: the provisioning search treats an unseatable
-        // candidate as infinitely bad. Plan-building mode: the request is
-        // genuinely infeasible — fail with the offending job.
-        if (plan == nullptr) {
-          const Seconds inf = std::numeric_limits<Seconds>::infinity();
-          return {inf, inf};
-        }
-        require(false, "placement: job " + std::to_string(j) + " needs " +
-                           std::to_string(rj) + " racks but only " +
-                           std::to_string(scratch.allowed.size()) +
-                           " remain eligible after placement filters");
-      }
-      std::partial_sort(scratch.allowed.begin(), scratch.allowed.begin() + rj,
-                        scratch.allowed.end(), rack_less);
-      std::copy(scratch.allowed.begin(), scratch.allowed.begin() + rj,
-                scratch.rack_order.begin());
-    } else {
-      std::iota(scratch.rack_order.begin(), scratch.rack_order.end(), 0);
-      std::partial_sort(scratch.rack_order.begin(),
-                        scratch.rack_order.begin() + rj,
-                        scratch.rack_order.end(), rack_less);
+      throw_unseatable(j, rj, open.size());
     }
+    std::partial_sort(open.begin(), open.begin() + rj, open.end(), rack_less);
+    const std::span<const int> picked(open.data(),
+                                      static_cast<std::size_t>(rj));
 
     Seconds start = jobs[sj].arrival();
-    for (int i = 0; i < rj; ++i) {
-      start = std::max(
-          start,
-          scratch.finish[static_cast<std::size_t>(scratch.rack_order[
-              static_cast<std::size_t>(i)])]);
+    for (int r : picked) {
+      start = std::max(start, scratch.finish[static_cast<std::size_t>(r)]);
     }
     const Seconds completion = start + latency;
-    for (int i = 0; i < rj; ++i) {
-      scratch.finish[static_cast<std::size_t>(
-          scratch.rack_order[static_cast<std::size_t>(i)])] = completion;
+    for (int r : picked) {
+      scratch.finish[static_cast<std::size_t>(r)] = completion;
     }
-    if (constrained) {
-      for (int i = 0; i < rj; ++i) {
-        const auto sr = static_cast<std::size_t>(
-            scratch.rack_order[static_cast<std::size_t>(i)]);
-        scratch.rack_used[sr] = 1;
-        if (pl->rack_exclusive) scratch.exclusive_rack[sr] = 1;
-        if (set_index >= 0) {
-          scratch.set_rack[static_cast<std::size_t>(set_index) *
-                               static_cast<std::size_t>(num_racks) +
-                           sr] = 1;
-        }
-      }
-    }
+    scratch.claims.claim(j, picked);
     makespan = std::max(makespan, completion);
     total_flow += completion - jobs[sj].arrival();
 
@@ -303,8 +205,7 @@ std::pair<Seconds, Seconds> run_prioritization(
       PlannedJob& planned = plan->jobs[sj];
       planned.job_index = j;
       planned.num_racks = rj;
-      planned.racks.assign(scratch.rack_order.begin(),
-                           scratch.rack_order.begin() + rj);
+      planned.racks.assign(picked.begin(), picked.end());
       std::sort(planned.racks.begin(), planned.racks.end());
       planned.start_time = start;
       planned.predicted_latency = latency;
@@ -321,13 +222,14 @@ std::pair<Seconds, Seconds> run_prioritization(
             obs::arg("priority", static_cast<double>(priority))};
         // Constrained jobs log why the pick was narrowed; unconstrained
         // assign events stay byte-identical to the pre-placement format.
-        if (pl != nullptr && pl->constrained) {
+        if (constrained && (*placements)[sj].constrained) {
+          const JobPlacement& pl = (*placements)[sj];
           args.push_back(obs::arg("eligible_racks",
-                                  static_cast<double>(pl->eligible_count)));
+                                  static_cast<double>(pl.eligible_count)));
           args.push_back(obs::arg("anti_affinity",
-                                  static_cast<double>(pl->anti_affinity)));
+                                  static_cast<double>(pl.anti_affinity)));
           args.push_back(
-              obs::arg("exclusive", pl->rack_exclusive ? 1.0 : 0.0));
+              obs::arg("exclusive", pl.rack_exclusive ? 1.0 : 0.0));
         }
         trace->instant(
             obs::TraceTrack::kPlanner, "assign", "planner", j,
@@ -341,23 +243,6 @@ std::pair<Seconds, Seconds> run_prioritization(
   if (final_finish != nullptr) *final_finish = scratch.finish;
   const Seconds avg_flow = J == 0 ? 0.0 : total_flow / static_cast<double>(J);
   return {makespan, avg_flow};
-}
-
-void validate_inputs(std::span<const ResponseFunction> jobs, int num_racks,
-                     const PlannerConfig& config) {
-  require(num_racks >= 1, "plan: num_racks must be >= 1");
-  for (const ResponseFunction& f : jobs) {
-    require(f.max_racks() >= num_racks,
-            "plan: response function does not cover the cluster's racks");
-  }
-  if (config.placements != nullptr) {
-    require(config.placements->size() == jobs.size(),
-            "plan: placements must cover every job");
-    for (const JobPlacement& p : *config.placements) {
-      require(p.eligible.size() == static_cast<std::size_t>(num_racks),
-              "plan: placement eligibility does not cover the racks");
-    }
-  }
 }
 
 // Per-worker scratch slots for one provisioning search: slot w belongs to
@@ -692,6 +577,32 @@ exec::ThreadPool& pool_of(const PlannerConfig& config) {
 }
 
 }  // namespace
+
+void validate_inputs(std::span<const ResponseFunction> jobs, int num_racks,
+                     const PlannerConfig& config) {
+  require(num_racks >= 1, "plan: num_racks must be >= 1");
+  for (const ResponseFunction& f : jobs) {
+    require(f.max_racks() >= num_racks,
+            "plan: response function does not cover the cluster's racks");
+  }
+  if (config.placements != nullptr) {
+    require(config.placements->size() == jobs.size(),
+            "plan: placements must cover every job");
+    for (const JobPlacement& p : *config.placements) {
+      require(p.eligible.size() == static_cast<std::size_t>(num_racks),
+              "plan: placement eligibility does not cover the racks");
+    }
+  }
+}
+
+std::string rack_list_string(std::span<const int> racks) {
+  std::string out;
+  for (std::size_t i = 0; i < racks.size(); ++i) {
+    if (i > 0) out += ',';
+    out += std::to_string(racks[i]);
+  }
+  return out;
+}
 
 Plan prioritize(std::span<const ResponseFunction> jobs,
                 std::span<const int> racks_per_job, int num_racks,

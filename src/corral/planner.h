@@ -18,7 +18,9 @@
 #ifndef CORRAL_CORRAL_PLANNER_H_
 #define CORRAL_CORRAL_PLANNER_H_
 
+#include <chrono>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "corral/latency_model.h"
@@ -40,18 +42,13 @@ enum class Objective { kMakespan, kAverageCompletionTime };
 // Which planning algorithm produces the provisioning plan (src/plan,
 // docs/planners.md). The enum lives here rather than in src/plan so the
 // plan-cache fingerprint (corral/fingerprint.h) and the control plane can
-// name a backend without depending on the backend library.
+// name a backend without depending on the backend library. plan_offline
+// and plan_rolling below always run the Corral §4.2 heuristic; callers
+// that want another algorithm go through plan::planner_backend(kind).
 enum class PlannerBackendKind { kCorral = 0, kDagPack = 1, kLpRound = 2 };
 
 struct PlannerConfig {
   Objective objective = Objective::kMakespan;
-
-  // Planning algorithm. plan_offline/plan_rolling below always run the
-  // Corral §4.2 heuristic regardless of this field; callers that want
-  // backend dispatch go through plan::planner_backend(config.backend)
-  // (src/plan/backend.h). The field lives here so it folds into
-  // planner_fingerprint() and the control plane's plan-cache key.
-  PlannerBackendKind backend = PlannerBackendKind::kCorral;
 
   // Ablations of §4.2 design choices (see DESIGN.md):
   // Sort equal-width jobs by processing time only (plain LPT) when false.
@@ -116,6 +113,37 @@ struct Plan {
                                              : predicted_avg_completion;
   }
 };
+
+// The request check every backend runs first: at least one rack, every
+// response function covers `num_racks` racks, and config.placements (when
+// set) has one entry per job with one mask entry per rack. Throws
+// std::invalid_argument naming the first violation.
+void validate_inputs(std::span<const ResponseFunction> jobs, int num_racks,
+                     const PlannerConfig& config);
+
+// Timestamp source for planner trace events, shared by every backend:
+// logical step indices by default (deterministic at any pool width), real
+// elapsed seconds when the tracer opted into wall clock
+// (obs::TracerOptions::wall_clock, profiling only).
+class PlanClock {
+ public:
+  explicit PlanClock(bool wall)
+      : wall_(wall), start_(std::chrono::steady_clock::now()) {}
+
+  double at(double step) const {
+    if (!wall_) return step;
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start_)
+        .count();
+  }
+
+ private:
+  bool wall_;
+  std::chrono::steady_clock::time_point start_;
+};
+
+// "0,3,5": a list of rack (or job) ids as one planner trace arg.
+std::string rack_list_string(std::span<const int> racks);
 
 // Plans from precomputed response functions. Every response function must
 // cover at least `num_racks` racks.

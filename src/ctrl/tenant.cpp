@@ -75,6 +75,7 @@ TenantLoop::TenantLoop(std::vector<RecurringPipeline> pipelines,
       seed_(seed),
       sink_base_(sink_base),
       label_prefix_(std::move(label_prefix)),
+      backend_(backend.value_or(config.planner_backend)),
       net_policy_(net_policy.value_or(config.net_policy)),
       planner_sig_(0),
       params_(LatencyModelParams::from_cluster(config.cluster)),
@@ -84,14 +85,13 @@ TenantLoop::TenantLoop(std::vector<RecurringPipeline> pipelines,
       rf_cache_(config.size_quantum),
       planning_inputs_(pipelines_.size(), std::array<Bytes, 2>{0.0, 0.0}) {
   planner_config_.objective = config_.objective;
-  planner_config_.backend = backend.value_or(config_.planner_backend);
   planner_config_.pool = config_.pool;
   planner_config_.tracer = config_.tracer;
   // The net policy shapes the realized measurements every plan is judged
   // by, so it joins the plan-cache signature exactly like the backend id.
   {
     Fingerprint sig;
-    sig.mix(planner_fingerprint(planner_config_));
+    sig.mix(planner_fingerprint(planner_config_, backend_));
     sig.mix(static_cast<std::uint64_t>(net_policy_));
     planner_sig_ = sig.value();
   }
@@ -339,7 +339,7 @@ EpochReport TenantLoop::run_epoch(int epoch,
       plan_request.specs = planning;
       plan_request.num_racks = report.planning_racks;
       plan_request.config = &planner_config_;
-      plan = plan::planner_backend(planner_config_.backend)
+      plan = plan::planner_backend(backend_)
                  .plan(plan_request)
                  .plan;
       planner_config_.placements = nullptr;

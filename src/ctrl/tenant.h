@@ -116,6 +116,7 @@ class TenantLoop {
   std::string label_prefix_;
 
   PlannerConfig planner_config_;
+  PlannerBackendKind backend_;
   NetPolicy net_policy_;
   std::uint64_t planner_sig_;
   LatencyModelParams params_;

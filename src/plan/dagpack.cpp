@@ -22,15 +22,14 @@
 //
 // Placement constraints (corral/placement.h) thread through both steps:
 // the packed search sees the troublesome subset's placements (resolution
-// is per-job, so slicing is sound), and the residual greedy filters each
-// job's candidate racks by eligibility, anti-affinity and exclusivity —
-// including the racks the packed plan already claimed.
+// is per-job, so slicing is sound), and the residual greedy takes each
+// job's candidate racks from a RackClaims ledger that already holds the
+// packed plan's claims.
 //
 // The search in step 2 runs on the configured pool (byte-identical at any
 // width, like plan_offline); steps 1 and 3 are serial scans, so the whole
 // plan is deterministic at any --threads value.
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <numeric>
 #include <string>
@@ -43,15 +42,6 @@
 
 namespace corral::plan {
 namespace {
-
-std::string rack_list_string(const std::vector<int>& racks) {
-  std::string out;
-  for (std::size_t i = 0; i < racks.size(); ++i) {
-    if (i > 0) out += ',';
-    out += std::to_string(racks[i]);
-  }
-  return out;
-}
 
 // How troublesome is this job? Always >= L_j(1), at most 3 * L_j(1).
 double troublesome_score(const ResponseFunction& job, const JobSpec* spec,
@@ -99,25 +89,15 @@ ProvisionPlan DagPackBackend::plan(const PlannerRequest& request) const {
           "DagPackBackend: specs must be empty or one per job");
   const PlannerConfig& config = *request.config;
   const int R = request.num_racks;
-  require(R >= 1, "DagPackBackend: num_racks must be >= 1");
+  validate_inputs(request.jobs, R, config);
   const std::size_t J = request.jobs.size();
-  for (const ResponseFunction& f : request.jobs) {
-    require(f.max_racks() >= R,
-            "DagPackBackend: response function does not cover the racks");
-  }
 
   ProvisionPlan result;
   result.backend = PlannerBackendKind::kDagPack;
   if (J == 0) return result;
 
   const obs::TraceRecorder trace(config.tracer, config.trace_sink, "planner");
-  const auto trace_begin = std::chrono::steady_clock::now();
-  const auto clock_at = [&](double step) {
-    if (!trace.wall_clock()) return step;
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         trace_begin)
-        .count();
-  };
+  const PlanClock clock(trace.wall_clock());
 
   // Step 1: scores and the troublesome split. max >= mean, so the
   // troublesome set is never empty; when every score ties the backend
@@ -145,12 +125,6 @@ ProvisionPlan DagPackBackend::plan(const PlannerRequest& request) const {
   // placement constraints apply, the subset's placements are sliced out for
   // the packed search (resolution is per-job, so the slice stays valid).
   const std::vector<JobPlacement>* placements = config.placements;
-  const bool constrained =
-      placements != nullptr && any_constrained(*placements);
-  if (placements != nullptr) {
-    require(placements->size() == J,
-            "DagPackBackend: placements must cover every job");
-  }
   std::vector<ResponseFunction> trouble;
   trouble.reserve(trouble_idx.size());
   for (int j : trouble_idx) {
@@ -167,43 +141,12 @@ ProvisionPlan DagPackBackend::plan(const PlannerRequest& request) const {
   }
   const Plan packed = plan_offline(trouble, R, trouble_config);
 
-  // Cross-job constraint state the packed plan leaves behind, rebuilt from
-  // its rack assignments so the residual greedy honors it.
-  std::vector<int> set_ids;
-  std::vector<char> set_rack;
-  std::vector<char> rack_used;
-  std::vector<char> exclusive_rack;
-  const auto set_index_of = [&](const JobPlacement& pl) {
-    if (pl.anti_affinity < 0) return -1;
-    return static_cast<int>(
-        std::lower_bound(set_ids.begin(), set_ids.end(), pl.anti_affinity) -
-        set_ids.begin());
-  };
-  if (constrained) {
-    for (const JobPlacement& p : *placements) {
-      if (p.anti_affinity >= 0) set_ids.push_back(p.anti_affinity);
-    }
-    std::sort(set_ids.begin(), set_ids.end());
-    set_ids.erase(std::unique(set_ids.begin(), set_ids.end()), set_ids.end());
-    set_rack.assign(set_ids.size() * static_cast<std::size_t>(R), 0);
-    rack_used.assign(static_cast<std::size_t>(R), 0);
-    exclusive_rack.assign(static_cast<std::size_t>(R), 0);
-  }
-  const auto claim_racks = [&](const std::vector<int>& racks, int job) {
-    if (!constrained) return;
-    const JobPlacement& pl = (*placements)[static_cast<std::size_t>(job)];
-    const int set_index = set_index_of(pl);
-    for (int r : racks) {
-      const auto sr = static_cast<std::size_t>(r);
-      rack_used[sr] = 1;
-      if (pl.rack_exclusive) exclusive_rack[sr] = 1;
-      if (set_index >= 0) {
-        set_rack[static_cast<std::size_t>(set_index) *
-                     static_cast<std::size_t>(R) +
-                 sr] = 1;
-      }
-    }
-  };
+  // The cross-job placement state the packed plan leaves behind, rebuilt
+  // from its rack assignments so the residual greedy honors it.
+  RackClaims claims;
+  claims.reset(placements != nullptr ? *placements
+                                     : std::span<const JobPlacement>(),
+               R);
 
   Plan& plan = result.plan;
   plan.jobs.resize(J);
@@ -218,7 +161,7 @@ ProvisionPlan DagPackBackend::plan(const PlannerRequest& request) const {
       finish[static_cast<std::size_t>(r)] = std::max(
           finish[static_cast<std::size_t>(r)], planned.predicted_completion());
     }
-    claim_racks(planned.racks, trouble_idx[i]);
+    claims.claim(trouble_idx[i], planned.racks);
     makespan = std::max(makespan, planned.predicted_completion());
     total_flow += planned.predicted_completion() -
                   trouble[i].arrival();
@@ -237,40 +180,15 @@ ProvisionPlan DagPackBackend::plan(const PlannerRequest& request) const {
     return a < b;
   });
   std::vector<Seconds> sorted_finish;
-  std::vector<int> rack_order(static_cast<std::size_t>(R));
+  std::vector<int> rack_order;
   int priority = static_cast<int>(trouble_idx.size());
   double step = 0.0;
   for (int j : residual_idx) {
     const auto sj = static_cast<std::size_t>(j);
     const ResponseFunction& job = request.jobs[sj];
-    // Candidate racks: everything, or — under constraints — the racks the
-    // job's eligibility mask, its anti-affinity set's prior picks and the
-    // exclusivity claims leave open.
-    rack_order.clear();
-    if (constrained) {
-      const JobPlacement& pl = (*placements)[sj];
-      const int set_index = set_index_of(pl);
-      for (int r = 0; r < R; ++r) {
-        const auto sr = static_cast<std::size_t>(r);
-        if (!pl.eligible[sr]) continue;
-        if (exclusive_rack[sr]) continue;
-        if (pl.rack_exclusive && rack_used[sr]) continue;
-        if (set_index >= 0 &&
-            set_rack[static_cast<std::size_t>(set_index) *
-                         static_cast<std::size_t>(R) +
-                     sr]) {
-          continue;
-        }
-        rack_order.push_back(r);
-      }
-      require(!rack_order.empty(),
-              "placement: job " + std::to_string(j) +
-                  " needs 1 racks but only 0 remain eligible after "
-                  "placement filters");
-    } else {
-      rack_order.resize(static_cast<std::size_t>(R));
-      std::iota(rack_order.begin(), rack_order.end(), 0);
-    }
+    // Candidate racks: the racks the ledger leaves open to the job.
+    claims.open_racks(j, rack_order);
+    if (rack_order.empty()) throw_unseatable(j, 1, rack_order.size());
     const int max_r = static_cast<int>(rack_order.size());
     sorted_finish.clear();
     for (int r : rack_order) {
@@ -289,7 +207,7 @@ ProvisionPlan DagPackBackend::plan(const PlannerRequest& request) const {
       }
       if (trace.at(obs::TraceLevel::kTasks)) {
         trace.instant(obs::TraceTrack::kPlanner, "candidate", "planner", j,
-                      clock_at(step),
+                      clock.at(step),
                       {obs::arg("job", static_cast<double>(j)),
                        obs::arg("racks", static_cast<double>(r)),
                        obs::arg("value", completion)});
@@ -320,12 +238,12 @@ ProvisionPlan DagPackBackend::plan(const PlannerRequest& request) const {
     for (int r : planned.racks) {
       finish[static_cast<std::size_t>(r)] = best_completion;
     }
-    claim_racks(planned.racks, j);
+    claims.claim(j, planned.racks);
     makespan = std::max(makespan, best_completion);
     total_flow += best_completion - job.arrival();
     if (trace.at(obs::TraceLevel::kJobs)) {
       trace.instant(obs::TraceTrack::kPlanner, "assign", "planner", j,
-                    clock_at(step),
+                    clock.at(step),
                     {obs::arg("job", static_cast<double>(j)),
                      obs::arg("num_racks", static_cast<double>(best_r)),
                      obs::arg("racks", rack_list_string(planned.racks)),
@@ -340,7 +258,7 @@ ProvisionPlan DagPackBackend::plan(const PlannerRequest& request) const {
   plan.predicted_avg_completion = total_flow / static_cast<double>(J);
   if (trace.at(obs::TraceLevel::kJobs)) {
     trace.span(obs::TraceTrack::kPlanner, "dagpack", "planner", 0,
-               clock_at(0.0), clock_at(step),
+               clock.at(0.0), clock.at(step),
                {obs::arg("jobs", static_cast<double>(J)),
                 obs::arg("troublesome", static_cast<double>(
                                             trouble_idx.size())),

@@ -26,7 +26,6 @@
 // smallest width. The solution reduces in job order, so the plan is
 // byte-identical at any --threads width.
 #include <algorithm>
-#include <chrono>
 #include <string>
 #include <vector>
 
@@ -45,29 +44,15 @@ ProvisionPlan LpRoundBackend::plan(const PlannerRequest& request) const {
   require(request.config != nullptr, "LpRoundBackend: config is required");
   const PlannerConfig& config = *request.config;
   const int R = request.num_racks;
-  require(R >= 1, "LpRoundBackend: num_racks must be >= 1");
+  validate_inputs(request.jobs, R, config);
   const std::size_t J = request.jobs.size();
-  for (const ResponseFunction& f : request.jobs) {
-    require(f.max_racks() >= R,
-            "LpRoundBackend: response function does not cover the racks");
-  }
 
   ProvisionPlan result;
   result.backend = PlannerBackendKind::kLpRound;
   if (J == 0) return result;
-  if (config.placements != nullptr) {
-    require(config.placements->size() == J,
-            "LpRoundBackend: placements must cover every job");
-  }
 
   const obs::TraceRecorder trace(config.tracer, config.trace_sink, "planner");
-  const auto trace_begin = std::chrono::steady_clock::now();
-  const auto clock_at = [&](double step) {
-    if (!trace.wall_clock()) return step;
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         trace_begin)
-        .count();
-  };
+  const PlanClock clock(trace.wall_clock());
 
   const LpBatchSolution solution =
       solve_lp_batch(request.jobs, R, config.pool);
@@ -102,8 +87,8 @@ ProvisionPlan LpRoundBackend::plan(const PlannerRequest& request) const {
   result.plan.evaluated_candidates = J * static_cast<std::size_t>(R) + 1;
   if (trace.at(obs::TraceLevel::kJobs)) {
     trace.span(obs::TraceTrack::kPlanner, "lpround", "planner", 0,
-               clock_at(0.0),
-               clock_at(static_cast<double>(result.plan.evaluated_candidates)),
+               clock.at(0.0),
+               clock.at(static_cast<double>(result.plan.evaluated_candidates)),
                {obs::arg("jobs", static_cast<double>(J)),
                 obs::arg("lp_bound_s", solution.bound),
                 obs::arg("predicted_makespan_s",

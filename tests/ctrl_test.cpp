@@ -157,9 +157,10 @@ TEST(CtrlFingerprint, PlannerConfigIgnoresExecutionDetail) {
   exec::ThreadPool pool(2);
   b.pool = &pool;
   b.trace_sink = 7;
-  EXPECT_EQ(planner_fingerprint(a), planner_fingerprint(b));
+  const auto kind = PlannerBackendKind::kCorral;
+  EXPECT_EQ(planner_fingerprint(a, kind), planner_fingerprint(b, kind));
   b.objective = Objective::kAverageCompletionTime;
-  EXPECT_NE(planner_fingerprint(a), planner_fingerprint(b));
+  EXPECT_NE(planner_fingerprint(a, kind), planner_fingerprint(b, kind));
 }
 
 // --- config validation (parity with the what-if deadline checks) ---------

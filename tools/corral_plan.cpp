@@ -45,11 +45,12 @@ int main(int argc, char** argv) {
                            ? Objective::kMakespan
                            : Objective::kAverageCompletionTime;
     const std::string planner = flags.get_choice("planner");
-    plan::parse_planner_backend(planner, &config.backend);
+    PlannerBackendKind backend = PlannerBackendKind::kCorral;
+    plan::parse_planner_backend(planner, &backend);
     NetPolicy net_policy = NetPolicy::kTcp;
     parse_net_policy(flags.get_choice("net-policy"), &net_policy);
     const double period = flags.get_double("replan-period-min") * kMinute;
-    if (period > 0 && config.backend != PlannerBackendKind::kCorral) {
+    if (period > 0 && backend != PlannerBackendKind::kCorral) {
       std::cerr << "--replan-period-min requires --planner=corral\n";
       return 2;
     }
@@ -85,7 +86,7 @@ int main(int argc, char** argv) {
       request.specs = jobs;
       request.num_racks = cluster.racks;
       request.config = &config;
-      provision = plan::planner_backend(config.backend).plan(request);
+      provision = plan::planner_backend(backend).plan(request);
     }
     const Plan& plan = provision.plan;
 
