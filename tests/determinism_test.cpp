@@ -9,7 +9,9 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "corral/latency_model.h"
@@ -485,6 +487,56 @@ TEST(SimDigest, JobFailsWithLiveAttempts) {
   EXPECT_EQ(failed_instants, 1);
   expect_digests(run, "bf0ff0f535149b0a", "69fe9b04b7c26d76",
                  "c5ae406320f3f887");
+}
+
+
+// FNV-1a over the IEEE-754 bit image of `value`, continuing from `state`.
+std::uint64_t hash_double(double value, std::uint64_t state) {
+  return fnv1a(std::string_view(reinterpret_cast<const char*>(&value),
+                                sizeof value),
+               state);
+}
+
+TEST(SimDigest, CoflowPoliciesWithReadsAndFailure) {
+  // A W1 batch on the 210-machine testbed under the coflow policies, with
+  // off-rack replica writes and one machine crash mid-run: remote reads
+  // and replica writes are singleton flows, shuffles of overlapping jobs
+  // are interleaved coflows, and the crash cancels flows of both kinds.
+  // Pins every job's finish time, the cross-rack bytes and each rack's
+  // uplink utilization, bit for bit.
+  Rng rng(29);
+  W1Config w1;
+  w1.num_jobs = 40;
+  w1.task_scale = 0.5;
+  std::vector<JobSpec> jobs = make_w1(w1, rng);
+  assign_uniform_arrivals(jobs, 120, rng);
+  SimConfig config;
+  config.cluster = ClusterConfig::paper_testbed();
+  config.seed = 31;
+  config.write_output_replicas = true;
+  config.faults.events.push_back({150.0, FaultType::kCrash, 17});
+  const std::pair<NetPolicy, const char*> pins[] = {
+      {NetPolicy::kVarys, "9ea35752eaf0f6ff"},
+      {NetPolicy::kLpOrder, "96034faeeb1cbdde"},
+      {NetPolicy::kSincronia, "78616497c262715f"}};
+  for (const auto& [net_policy, pin] : pins) {
+    SCOPED_TRACE(std::string(to_string(net_policy)));
+    config.net_policy = net_policy;
+    YarnCapacityPolicy policy;
+    const SimResult result = run_simulation(jobs, policy, config);
+    EXPECT_EQ(result.jobs_failed, 0);
+    EXPECT_GT(result.tasks_killed, 0);
+    EXPECT_GT(result.maps_rerun, 0);
+    std::uint64_t digest = kFnvOffsetBasis;
+    for (const JobResult& job : result.jobs) {
+      digest = hash_double(job.finish, digest);
+    }
+    digest = hash_double(result.total_cross_rack_bytes, digest);
+    for (double utilization : result.rack_uplink_utilization) {
+      digest = hash_double(utilization, digest);
+    }
+    EXPECT_EQ(hex16(digest), pin);
+  }
 }
 
 }  // namespace
