@@ -50,8 +50,9 @@ CoflowDemands gather_demands(const FillScratch& scratch) {
 
 CoflowDemands demands_of(const std::vector<Flow>& flows,
                          const LinkSet& links) {
+  FlowTable table = FlowTable::of(flows);
   FillScratch scratch;
-  net_detail::build_coflow_groups(FlowTable::of(flows), scratch, links);
+  net_detail::build_coflow_groups(table, scratch, links);
   return gather_demands(scratch);
 }
 
@@ -248,13 +249,10 @@ class OrderedCoflowAllocator : public RateAllocator {
     net_detail::build_coflow_groups(flows, scratch, links);
 
     // Live real coflow keys, ascending: the groups after the singletons.
-    const auto first_real = static_cast<std::size_t>(
-        std::find_if(scratch.groups.begin(), scratch.groups.end(),
-                     [](const GroupRef& group) { return group.key >= 0; }) -
-        scratch.groups.begin());
+    const std::size_t first_real = flows.singleton_rows().size();
     live_keys_.clear();
-    for (std::size_t g = first_real; g < scratch.groups.size(); ++g) {
-      live_keys_.push_back(scratch.groups[g].key);
+    for (std::size_t k = 0; k < flows.coflows(); ++k) {
+      live_keys_.push_back(flows.coflow_key(k));
     }
     if (live_keys_ != cached_keys_) {
       cached_order_ = compute_order(gather_demands(scratch), links);

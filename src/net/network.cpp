@@ -163,24 +163,29 @@ const std::vector<CompletedFlow>& Network::advance(Seconds dt) {
   if (idle()) return completed_;
   recompute_if_dirty();
 
-  // Tombstones move nothing: rate 0, and an empty path.
-  if (dt > 0) {
-    for (std::size_t f = 0; f < flows_.size(); ++f) {
-      const Bytes moved = std::min(flows_.remaining[f], flows_.rate[f] * dt);
-      flows_.remaining[f] -= moved;
-      if (flows_.cross_rack[f]) cross_rack_bytes_ += moved;
-      const int* path = flows_.path(f);
-      for (int i = 0; i < flows_.path_count[f]; ++i) {
-        link_bytes_[static_cast<std::size_t>(path[i])] += moved;
-      }
+  // One walk moves every flow and notes the rows that finished, as a
+  // branch-free append. Tombstones move nothing (rate 0, an empty path)
+  // and never finish (remaining +infinity). With dt == 0 every flow moves
+  // zero bytes, which leaves every sum as it was; the walk still runs, so
+  // already-finished flows retire instead of spinning the event loop at a
+  // zero horizon.
+  finished_.resize(flows_.size());
+  std::size_t finished = 0;
+  for (std::size_t f = 0; f < flows_.size(); ++f) {
+    const Bytes moved = std::min(flows_.remaining[f], flows_.rate[f] * dt);
+    flows_.remaining[f] -= moved;
+    if (flows_.cross_rack[f]) cross_rack_bytes_ += moved;
+    const int* path = flows_.path(f);
+    for (int i = 0; i < flows_.path_count[f]; ++i) {
+      link_bytes_[static_cast<std::size_t>(path[i])] += moved;
     }
+    finished_[finished] = static_cast<int>(f);
+    finished += flows_.remaining[f] <= kCompletionSlack ? 1 : 0;
   }
   // Retire everything that finished in this step; symmetric shuffles
-  // complete in groups, so a single recompute serves many completions. The
-  // sweep runs even for dt == 0 so already-finished flows retire instead of
-  // spinning the event loop at a zero horizon. Tombstones never match.
-  for (std::size_t f = 0; f < flows_.size(); ++f) {
-    if (flows_.remaining[f] > kCompletionSlack) continue;
+  // complete in groups, so a single recompute serves many completions.
+  for (std::size_t i = 0; i < finished; ++i) {
+    const auto f = static_cast<std::size_t>(finished_[i]);
     completed_.push_back(CompletedFlow{flows_.id[f], flows_.tag[f],
                                        flows_.coflow[f], flows_.total[f],
                                        flows_.cross_rack[f] != 0});
@@ -198,6 +203,7 @@ NetworkCounters Network::counters() const {
   NetworkCounters counters = counters_;
   counters.compactions = flows_.compactions();
   counters.entries_resummed = flows_.entries_resummed();
+  counters.coflow_rows_relisted = flows_.coflow_rows_relisted();
   return counters;
 }
 

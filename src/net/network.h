@@ -47,6 +47,9 @@ struct NetworkCounters {
   std::uint64_t compactions = 0;    // tombstone sweeps of the flow table
   // Incidence entries summed again because their link lost a row.
   std::uint64_t entries_resummed = 0;
+  // Coflow membership entries listed again because their coflow (or the
+  // list of flows in no coflow) lost a row.
+  std::uint64_t coflow_rows_relisted = 0;
 };
 
 class Network {
@@ -136,6 +139,7 @@ class Network {
   std::unique_ptr<RateAllocator> allocator_;
   FlowTable flows_;
   std::vector<CompletedFlow> completed_;  // reused by advance()
+  std::vector<int> finished_;             // advance() scratch: rows done
   int next_flow_id_ = 0;
   bool dirty_ = false;
   NetworkCounters counters_;

@@ -378,42 +378,100 @@ std::vector<SortedGroup> sorted_groups(const std::vector<Flow>& flows,
   return groups;
 }
 
+// Groups `table` with `scratch` and checks the result against the oracle
+// over its live rows: runs, order, rows, Γ and per-link bytes, exactly.
+// The oracle numbers the live rows 0, 1, ...; `live_rows` maps them back
+// to table rows, which is monotone, so the order of singleton keys holds.
+void expect_grouping_matches_oracle(FlowTable& table,
+                                    net_detail::FillScratch& scratch,
+                                    const LinkSet& links) {
+  std::vector<Flow> live;
+  std::vector<int> live_rows;
+  for (std::size_t f = 0; f < table.size(); ++f) {
+    if (!table.alive(f)) continue;
+    live.push_back(table.row(f));
+    live_rows.push_back(static_cast<int>(f));
+  }
+  const std::vector<SortedGroup> expected = sorted_groups(live, links);
+  net_detail::build_coflow_groups(table, scratch, links);
+
+  ASSERT_EQ(scratch.groups.size(), expected.size());
+  for (std::size_t g = 0; g < expected.size(); ++g) {
+    const net_detail::GroupRef& group = scratch.groups[g];
+    std::vector<int> rows;
+    for (int i : expected[g].rows) {
+      rows.push_back(live_rows[static_cast<std::size_t>(i)]);
+    }
+    const long key =
+        expected[g].key >= 0
+            ? expected[g].key
+            : -static_cast<long>(
+                  live_rows[static_cast<std::size_t>(-expected[g].key - 1)]) -
+                  1;
+    EXPECT_EQ(group.key, key) << "group " << g;
+    EXPECT_EQ(std::vector<int>(group.rows.begin(), group.rows.end()), rows)
+        << "group " << g;
+    EXPECT_EQ(group.gamma, expected[g].gamma) << "group " << g;
+    std::map<int, double> bytes;
+    for (int i = 0; i < group.load_count; ++i) {
+      const net_detail::LinkLoad& load =
+          scratch.group_loads[static_cast<std::size_t>(group.load_begin + i)];
+      EXPECT_TRUE(bytes.emplace(load.link, load.bytes).second)
+          << "link listed twice";
+    }
+    EXPECT_EQ(bytes, expected[g].bytes) << "group " << g;
+  }
+}
+
 TEST(CoflowGrouping, MatchesSortedPairsOracle) {
   const ClusterConfig config = tiny_cluster();
   const LinkSet links(config);
   std::mt19937 rng(515);
   net_detail::FillScratch scratch;
   for (int trial = 0; trial < 300; ++trial) {
-    const std::vector<Flow> flows =
-        mixed_flows(links, config, rng, 1 + static_cast<int>(rng() % 40));
-    const std::vector<SortedGroup> expected = sorted_groups(flows, links);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    FlowTable table = FlowTable::of(
+        mixed_flows(links, config, rng, 1 + static_cast<int>(rng() % 40)));
     // One scratch across trials: leftovers of a pass must not leak.
-    net_detail::build_coflow_groups(FlowTable::of(flows), scratch, links);
-
-    ASSERT_EQ(scratch.groups.size(), expected.size()) << "trial " << trial;
-    int next = 0;
-    for (std::size_t g = 0; g < expected.size(); ++g) {
-      const net_detail::GroupRef& group = scratch.groups[g];
-      EXPECT_EQ(group.key, expected[g].key) << "trial " << trial;
-      EXPECT_EQ(group.begin, next) << "trial " << trial;
-      ASSERT_EQ(group.count, static_cast<int>(expected[g].rows.size()));
-      const auto first = scratch.group_flows.begin() + group.begin;
-      EXPECT_EQ(std::vector<int>(first, first + group.count), expected[g].rows)
-          << "trial " << trial << " group " << g;
-      EXPECT_EQ(group.gamma, expected[g].gamma)
-          << "trial " << trial << " group " << g;
-      std::map<int, double> bytes;
-      for (int i = 0; i < group.load_count; ++i) {
-        const net_detail::LinkLoad& load =
-            scratch.group_loads[static_cast<std::size_t>(group.load_begin + i)];
-        EXPECT_TRUE(bytes.emplace(load.link, load.bytes).second)
-            << "link listed twice";
-      }
-      EXPECT_EQ(bytes, expected[g].bytes)
-          << "trial " << trial << " group " << g;
-      next += group.count;
-    }
+    expect_grouping_matches_oracle(table, scratch, links);
   }
+}
+
+// The same oracle on one long-lived table whose coflow membership is kept
+// across starts, retires (whole coflows among them) and compactions.
+TEST(CoflowGrouping, LongLivedTableMatchesSortedPairsOracle) {
+  const ClusterConfig config = tiny_cluster();
+  const LinkSet links(config);
+  std::mt19937 rng(516);
+  net_detail::FillScratch scratch;
+  FlowTable table;
+  int next_id = 0;
+  for (int step = 0; step < 400; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    for (Flow& flow :
+         mixed_flows(links, config, rng, static_cast<int>(rng() % 6))) {
+      flow.id = next_id++;
+      table.push_back(flow);
+    }
+    const std::size_t retires = rng() % 7;
+    for (std::size_t i = 0; i < retires && table.live() > 0; ++i) {
+      std::size_t f = rng() % table.size();
+      while (!table.alive(f)) f = (f + 1) % table.size();
+      if (rng() % 3 == 0 && table.coflow[f] >= 0) {
+        // The whole coflow goes at once.
+        for (std::size_t g = 0; g < table.size(); ++g) {
+          if (table.alive(g) && table.coflow[g] == table.coflow[f] && g != f) {
+            table.retire(g);
+          }
+        }
+      }
+      table.retire(f);
+    }
+    if (step % 3 == 0) table.compact_if_sparse();
+    expect_grouping_matches_oracle(table, scratch, links);
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GE(table.compactions(), 5u);
 }
 
 TEST(AllocatorEdge, VectorAdapterMatchesNetworkRatesForEveryPolicy) {

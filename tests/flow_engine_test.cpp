@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -115,13 +116,21 @@ std::string drain_digest(const ClusterConfig& cluster,
                             hash_doubles(coflow_finish, kFnvOffsetBasis)));
 }
 
+// Flow ids of `rows` of `table`.
+std::vector<int> ids_of(const FlowTable& table, std::span<const int> rows) {
+  std::vector<int> ids;
+  for (int f : rows) ids.push_back(table.id[static_cast<std::size_t>(f)]);
+  return ids;
+}
+
 // Rebuilds a table from the network's live rows and allocates it with
 // `reference`, which must have seen the same sequence of allocations as the
 // network's own allocator (lp-order and sincronia cache their coflow order
 // between allocations). Every live rate must match bit for bit, and so must
-// the per-link state the allocation read: the order of the active links,
-// each link's flows and its summed width. No link may carry more than its
-// capacity.
+// the state the allocation read: the order of the active links, each
+// link's flows and its summed width, the live coflow keys in order, each
+// coflow's flows, and the flows in no coflow. No link may carry more than
+// its capacity.
 void expect_matches_from_scratch(const Network& net,
                                  RateAllocator& reference) {
   const FlowTable& table = net.flows();
@@ -148,16 +157,23 @@ void expect_matches_from_scratch(const Network& net,
   }
   ASSERT_EQ(table.active_links(), fresh.active_links());
   for (int l : fresh.active_links()) {
-    std::vector<int> ids;
-    std::vector<int> fresh_ids;
-    for (int f : table.link_rows(l)) ids.push_back(table.id[f]);
-    for (int f : fresh.link_rows(l)) fresh_ids.push_back(fresh.id[f]);
-    EXPECT_EQ(ids, fresh_ids) << "link " << l;
+    EXPECT_EQ(ids_of(table, table.link_rows(l)),
+              ids_of(fresh, fresh.link_rows(l)))
+        << "link " << l;
     const double width = table.link_width(l);
     const double fresh_width = fresh.link_width(l);
     EXPECT_EQ(std::memcmp(&width, &fresh_width, sizeof(double)), 0)
         << "link " << l;
   }
+  ASSERT_EQ(table.coflows(), fresh.coflows());
+  for (std::size_t k = 0; k < fresh.coflows(); ++k) {
+    ASSERT_EQ(table.coflow_key(k), fresh.coflow_key(k)) << "coflow " << k;
+    EXPECT_EQ(ids_of(table, table.coflow_rows(k)),
+              ids_of(fresh, fresh.coflow_rows(k)))
+        << "coflow " << fresh.coflow_key(k);
+  }
+  EXPECT_EQ(ids_of(table, table.singleton_rows()),
+            ids_of(fresh, fresh.singleton_rows()));
 }
 
 // Drives a network through a seeded random mix of flow starts (machine,
@@ -290,6 +306,67 @@ TEST(FlowEngine, ResumsScaleWithRetiredLinks) {
   EXPECT_GE(done.compactions, 3u);
   EXPECT_EQ(done.advances, 0u);
   EXPECT_TRUE(net.idle());
+}
+
+// K coflows of M flows each on a one-rack cluster, plus a few flows in no
+// coflow, lose one coflow flow per step. A from-scratch grouping would
+// list every live flow on each reallocation; this engine lists again only
+// the coflow that lost a flow.
+TEST(FlowEngine, RelistsScaleWithCoflowsThatLostARow) {
+  constexpr int kMachines = 32;
+  constexpr int kCoflows = 8;
+  constexpr int kPerCoflow = 12;
+  constexpr int kSingletons = 4;
+  ClusterConfig cluster;
+  cluster.racks = 1;
+  cluster.machines_per_rack = kMachines;
+  Network net(cluster, std::make_unique<VarysAllocator>());
+  // Coflows interleave in flow-id order: flow i belongs to coflow
+  // i % kCoflows, and tag i names it.
+  for (int i = 0; i < kCoflows * kPerCoflow; ++i) {
+    net.start_flow({i % kMachines, (i + 1 + i / kMachines) % kMachines,
+                    100 * kMB, 1.0, i % kCoflows,
+                    static_cast<std::uint64_t>(i)});
+  }
+  for (int i = 0; i < kSingletons; ++i) {
+    net.start_flow({i, (i + 2) % kMachines, 300 * kMB, 1.0, -1,
+                    static_cast<std::uint64_t>(1000 + i)});
+  }
+  net.time_to_next_completion();
+  ASSERT_EQ(net.counters().reallocations, 1u);
+  ASSERT_EQ(net.flows().coflows(), static_cast<std::size_t>(kCoflows));
+
+  std::uint64_t total_relisted = 0;
+  // Cancel coflow flows in id order: every step shrinks a different
+  // coflow, and each coflow loses its last flow in the final round.
+  for (int i = 0; i < kCoflows * kPerCoflow; ++i) {
+    const NetworkCounters before = net.counters();
+    const std::vector<Flow> gone = net.cancel_flows_if([&](const Flow& flow) {
+      return flow.tag == static_cast<std::uint64_t>(i);
+    });
+    ASSERT_EQ(gone.size(), 1u);
+    net.time_to_next_completion();
+    const NetworkCounters after = net.counters();
+    EXPECT_EQ(after.reallocations - before.reallocations, 1u);
+    // Exactly the live flows left in the cancelled flow's coflow.
+    std::uint64_t expected = 0;
+    const FlowTable& table = net.flows();
+    for (std::size_t f = 0; f < table.size(); ++f) {
+      if (table.alive(f) && table.coflow[f] == gone[0].coflow) ++expected;
+    }
+    const std::uint64_t relisted =
+        after.coflow_rows_relisted - before.coflow_rows_relisted;
+    EXPECT_EQ(relisted, expected) << "step " << i;
+    EXPECT_LT(relisted, static_cast<std::uint64_t>(kPerCoflow)) << "step " << i;
+    total_relisted += relisted;
+  }
+  // Each coflow is listed again once per lost flow, at a shrinking size.
+  EXPECT_EQ(total_relisted, static_cast<std::uint64_t>(
+                                kCoflows * kPerCoflow * (kPerCoflow - 1) / 2));
+  EXPECT_EQ(net.flows().coflows(), 0u);
+  EXPECT_EQ(net.flows().singleton_rows().size(),
+            static_cast<std::size_t>(kSingletons));
+  EXPECT_GE(net.counters().compactions, 2u);
 }
 
 TEST(FabricDigest, Fig14SliceAllPolicies) {
