@@ -66,8 +66,7 @@ std::pair<Seconds, Seconds> run_prioritization(
     int num_racks, const PlannerConfig& config, Scratch& scratch, Plan* plan,
     const std::vector<Seconds>* initial_finish = nullptr,
     std::vector<Seconds>* final_finish = nullptr, int priority_base = 0,
-    const obs::TraceRecorder* trace = nullptr,
-    const PlanClock* clock = nullptr) {
+    const obs::TraceRecorder* trace = nullptr) {
   const std::size_t J = jobs.size();
   const std::vector<JobPlacement>* placements = config.placements;
   const bool constrained =
@@ -233,8 +232,7 @@ std::pair<Seconds, Seconds> run_prioritization(
         }
         trace->instant(
             obs::TraceTrack::kPlanner, "assign", "planner", j,
-            clock != nullptr ? clock->at(static_cast<double>(priority))
-                             : static_cast<double>(priority),
+            static_cast<double>(priority),
             std::move(args));
       }
     }
@@ -463,8 +461,6 @@ std::vector<int> provision(std::span<const ResponseFunction> jobs,
                            std::size_t* evaluated_candidates = nullptr) {
   const std::size_t J = jobs.size();
   const obs::TraceRecorder trace(config.tracer, config.trace_sink, "planner");
-  const PlanClock clock(trace.wall_clock());
-  const double trace_start = clock.at(0.0);
   const bool trace_candidates = trace.at(obs::TraceLevel::kTasks);
 
   const auto evaluate = [&](std::span<const int> allocation,
@@ -483,8 +479,7 @@ std::vector<int> provision(std::span<const ResponseFunction> jobs,
   double best_value = evaluate(best_racks, slots[0]);
   std::size_t best_step = 0;  // 0 = the all-ones starting allocation
   if (trace_candidates) {
-    trace.instant(obs::TraceTrack::kPlanner, "candidate", "planner", -1,
-                  clock.at(0.0),
+    trace.instant(obs::TraceTrack::kPlanner, "candidate", "planner", -1, 0.0,
                   {obs::arg("step", 0.0), obs::arg("value", best_value)});
   }
   RackTimeBound bound(chain, J, num_racks, initial_finish,
@@ -538,7 +533,7 @@ std::vector<int> provision(std::span<const ResponseFunction> jobs,
       if (trace_candidates) {
         const auto sj = static_cast<std::size_t>(widened[i]);
         trace.instant(obs::TraceTrack::kPlanner, "candidate", "planner",
-                      widened[i], clock.at(static_cast<double>(steps[i])),
+                      widened[i], static_cast<double>(steps[i]),
                       {obs::arg("step", static_cast<double>(steps[i])),
                        obs::arg("widened_job", static_cast<double>(sj)),
                        obs::arg("widened_to",
@@ -557,8 +552,8 @@ std::vector<int> provision(std::span<const ResponseFunction> jobs,
   }
   if (trace.at(obs::TraceLevel::kJobs)) {
     trace.span(
-        obs::TraceTrack::kPlanner, "provision", "planner", 0, trace_start,
-        clock.at(static_cast<double>(chain_length + 1)),
+        obs::TraceTrack::kPlanner, "provision", "planner", 0, 0.0,
+        static_cast<double>(chain_length + 1),
         {obs::arg("jobs", static_cast<double>(J)),
          obs::arg("candidates", static_cast<double>(chain_length + 1)),
          obs::arg("best_step", static_cast<double>(best_step)),
@@ -617,16 +612,14 @@ Plan prioritize(std::span<const ResponseFunction> jobs,
   plan.jobs.resize(jobs.size());
   Scratch scratch;
   const obs::TraceRecorder trace(config.tracer, config.trace_sink, "planner");
-  const PlanClock clock(trace.wall_clock());
-  const double trace_start = clock.at(0.0);
   const auto [makespan, avg_flow] = run_prioritization(
       jobs, racks_per_job, num_racks, config, scratch, &plan, nullptr,
-      nullptr, 0, &trace, &clock);
+      nullptr, 0, &trace);
   plan.predicted_makespan = makespan;
   plan.predicted_avg_completion = avg_flow;
   if (trace.at(obs::TraceLevel::kJobs)) {
     trace.span(obs::TraceTrack::kPlanner, "prioritize", "planner", 0,
-               trace_start, clock.at(static_cast<double>(jobs.size())),
+               0.0, static_cast<double>(jobs.size()),
                {obs::arg("jobs", static_cast<double>(jobs.size())),
                 obs::arg("predicted_makespan_s", makespan),
                 obs::arg("predicted_avg_completion_s", avg_flow)});
@@ -728,7 +721,6 @@ Plan plan_rolling(std::span<const ResponseFunction> jobs, int num_racks,
   exec::ThreadPool& pool = pool_of(config);
   ScratchSlots slots(static_cast<std::size_t>(pool.threads()));
   const obs::TraceRecorder trace(config.tracer, config.trace_sink, "planner");
-  const PlanClock clock(trace.wall_clock());
   std::vector<Seconds> finish(static_cast<std::size_t>(num_racks), 0.0);
   Seconds makespan = 0;
   Seconds total_flow = 0;
@@ -754,7 +746,6 @@ Plan plan_rolling(std::span<const ResponseFunction> jobs, int num_racks,
       window_config.placements = &window_placements;
     }
 
-    const double window_start = clock.at(static_cast<double>(priority_base));
     const std::vector<int> racks =
         provision(window, num_racks, window_config, &finish, pool, slots,
                   &plan.evaluated_candidates);
@@ -762,15 +753,14 @@ Plan plan_rolling(std::span<const ResponseFunction> jobs, int num_racks,
     window_plan.jobs.resize(window.size());
     const auto [window_makespan, window_avg] = run_prioritization(
         window, racks, num_racks, window_config, slots[0], &window_plan,
-        &finish, &finish, priority_base, &trace, &clock);
+        &finish, &finish, priority_base, &trace);
     // Window-local assign events above use window-local job ids; the span's
     // "job_indices" arg maps them back to the planner's input order.
     if (trace.at(obs::TraceLevel::kJobs)) {
       trace.span(
           obs::TraceTrack::kPlanner, "window", "planner",
-          static_cast<long>(w), window_start,
-          clock.at(static_cast<double>(priority_base +
-                                       static_cast<int>(window.size()))),
+          static_cast<long>(w), static_cast<double>(priority_base),
+          static_cast<double>(priority_base + static_cast<int>(window.size())),
           {obs::arg("window", static_cast<double>(w)),
            obs::arg("window_start_s", static_cast<double>(w) * period),
            obs::arg("jobs", static_cast<double>(window.size())),

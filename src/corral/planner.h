@@ -18,7 +18,6 @@
 #ifndef CORRAL_CORRAL_PLANNER_H_
 #define CORRAL_CORRAL_PLANNER_H_
 
-#include <chrono>
 #include <span>
 #include <string>
 #include <vector>
@@ -120,27 +119,6 @@ struct Plan {
 // std::invalid_argument naming the first violation.
 void validate_inputs(std::span<const ResponseFunction> jobs, int num_racks,
                      const PlannerConfig& config);
-
-// Timestamp source for planner trace events, shared by every backend:
-// logical step indices by default (deterministic at any pool width), real
-// elapsed seconds when the tracer opted into wall clock
-// (obs::TracerOptions::wall_clock, profiling only).
-class PlanClock {
- public:
-  explicit PlanClock(bool wall)
-      : wall_(wall), start_(std::chrono::steady_clock::now()) {}
-
-  double at(double step) const {
-    if (!wall_) return step;
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start_)
-        .count();
-  }
-
- private:
-  bool wall_;
-  std::chrono::steady_clock::time_point start_;
-};
 
 // "0,3,5": a list of rack (or job) ids as one planner trace arg.
 std::string rack_list_string(std::span<const int> racks);

@@ -129,7 +129,6 @@ TraceRecorder::TraceRecorder(Tracer* tracer, int sink_id,
                              std::string_view label) {
   if (tracer == nullptr || tracer->level() == TraceLevel::kOff) return;
   level_ = tracer->level();
-  wall_clock_ = tracer->wall_clock();
   sink_ = &tracer->sink(sink_id, label);
 }
 

@@ -123,10 +123,6 @@ struct TracerOptions {
   TraceLevel level = TraceLevel::kOff;
   // Max events retained per sink (ring overwrites oldest past this).
   std::size_t sink_capacity = 1 << 20;
-  // Stamp planner events with real elapsed seconds instead of logical step
-  // indices. Breaks the byte-identical-across-widths guarantee — only for
-  // interactive profiling, never inside determinism tests.
-  bool wall_clock = false;
 };
 
 // Owns the sinks. Sink creation takes a mutex (cold path, once per run);
@@ -138,7 +134,6 @@ class Tracer {
   explicit Tracer(TracerOptions options = {});
 
   TraceLevel level() const { return options_.level; }
-  bool wall_clock() const { return options_.wall_clock; }
 
   // Returns the sink with this id, creating it on first use. A non-empty
   // label on the creating call names the pid lane in the export.
@@ -193,7 +188,6 @@ class TraceRecorder {
   bool at(TraceLevel level) const {
     return static_cast<int>(level_) >= static_cast<int>(level);
   }
-  bool wall_clock() const { return wall_clock_; }
 
   void span(TraceTrack track, std::string name, std::string cat, long tid,
             double start, double end, std::vector<TraceArg> args = {}) const;
@@ -204,7 +198,6 @@ class TraceRecorder {
 
  private:
   TraceLevel level_ = TraceLevel::kOff;
-  bool wall_clock_ = false;
   TraceSink* sink_ = nullptr;
 };
 

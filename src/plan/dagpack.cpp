@@ -97,7 +97,6 @@ ProvisionPlan DagPackBackend::plan(const PlannerRequest& request) const {
   if (J == 0) return result;
 
   const obs::TraceRecorder trace(config.tracer, config.trace_sink, "planner");
-  const PlanClock clock(trace.wall_clock());
 
   // Step 1: scores and the troublesome split. max >= mean, so the
   // troublesome set is never empty; when every score ties the backend
@@ -207,7 +206,7 @@ ProvisionPlan DagPackBackend::plan(const PlannerRequest& request) const {
       }
       if (trace.at(obs::TraceLevel::kTasks)) {
         trace.instant(obs::TraceTrack::kPlanner, "candidate", "planner", j,
-                      clock.at(step),
+                      step,
                       {obs::arg("job", static_cast<double>(j)),
                        obs::arg("racks", static_cast<double>(r)),
                        obs::arg("value", completion)});
@@ -242,8 +241,7 @@ ProvisionPlan DagPackBackend::plan(const PlannerRequest& request) const {
     makespan = std::max(makespan, best_completion);
     total_flow += best_completion - job.arrival();
     if (trace.at(obs::TraceLevel::kJobs)) {
-      trace.instant(obs::TraceTrack::kPlanner, "assign", "planner", j,
-                    clock.at(step),
+      trace.instant(obs::TraceTrack::kPlanner, "assign", "planner", j, step,
                     {obs::arg("job", static_cast<double>(j)),
                      obs::arg("num_racks", static_cast<double>(best_r)),
                      obs::arg("racks", rack_list_string(planned.racks)),
@@ -258,7 +256,7 @@ ProvisionPlan DagPackBackend::plan(const PlannerRequest& request) const {
   plan.predicted_avg_completion = total_flow / static_cast<double>(J);
   if (trace.at(obs::TraceLevel::kJobs)) {
     trace.span(obs::TraceTrack::kPlanner, "dagpack", "planner", 0,
-               clock.at(0.0), clock.at(step),
+               0.0, step,
                {obs::arg("jobs", static_cast<double>(J)),
                 obs::arg("troublesome", static_cast<double>(
                                             trouble_idx.size())),

@@ -52,7 +52,6 @@ ProvisionPlan LpRoundBackend::plan(const PlannerRequest& request) const {
   if (J == 0) return result;
 
   const obs::TraceRecorder trace(config.tracer, config.trace_sink, "planner");
-  const PlanClock clock(trace.wall_clock());
 
   const LpBatchSolution solution =
       solve_lp_batch(request.jobs, R, config.pool);
@@ -87,8 +86,7 @@ ProvisionPlan LpRoundBackend::plan(const PlannerRequest& request) const {
   result.plan.evaluated_candidates = J * static_cast<std::size_t>(R) + 1;
   if (trace.at(obs::TraceLevel::kJobs)) {
     trace.span(obs::TraceTrack::kPlanner, "lpround", "planner", 0,
-               clock.at(0.0),
-               clock.at(static_cast<double>(result.plan.evaluated_candidates)),
+               0.0, static_cast<double>(result.plan.evaluated_candidates),
                {obs::arg("jobs", static_cast<double>(J)),
                 obs::arg("lp_bound_s", solution.bound),
                 obs::arg("predicted_makespan_s",
