@@ -17,7 +17,10 @@ double Rng::uniform(double lo, double hi) {
 }
 
 double Rng::normal(double mean, double stddev) {
-  return std::normal_distribution<double>(mean, stddev)(engine_);
+  require(stddev >= 0, "normal: stddev must be non-negative");
+  // Scaled by hand: std::normal_distribution requires stddev > 0. libstdc++
+  // returns z * stddev + mean from the same draws.
+  return mean + stddev * std::normal_distribution<double>()(engine_);
 }
 
 double Rng::lognormal(double mu, double sigma) {

@@ -21,7 +21,8 @@ class Rng {
   // Uniform real in [lo, hi).
   double uniform(double lo, double hi);
 
-  // Standard normal scaled to (mean, stddev).
+  // Standard normal scaled to (mean, stddev). Requires stddev >= 0; at 0 it
+  // returns mean and still consumes the draws of a standard normal.
   double normal(double mean, double stddev);
 
   // Log-normal with the given parameters of the underlying normal.

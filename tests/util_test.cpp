@@ -156,6 +156,16 @@ TEST(Rng, ExponentialHasRequestedMean) {
   EXPECT_NEAR(total / n, 4.0, 0.15);
 }
 
+TEST(Rng, NormalWithZeroStddevReturnsMeanAndAdvancesTheEngine) {
+  Rng zero(13), unit(13);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(zero.normal(2.5, 0.0), 2.5);
+    unit.normal(0.0, 1.0);
+  }
+  EXPECT_EQ(zero.uniform_int(0, 1 << 30), unit.uniform_int(0, 1 << 30));
+  EXPECT_THROW(zero.normal(0.0, -1.0), std::invalid_argument);
+}
+
 TEST(Rng, ForkProducesIndependentStream) {
   Rng a(9);
   Rng forked = a.fork();
