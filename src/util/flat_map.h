@@ -1,15 +1,13 @@
 // Open-addressing hash map from non-zero 64-bit keys to small values.
 //
-// Purpose-built for the simulator's per-task bookkeeping (packed-tag ->
-// int/double), which profiling showed spending a large share of its time in
-// std::unordered_map's node allocation and pointer chasing. This map stores
-// entries inline in one flat power-of-two array with linear probing and
-// backward-shift deletion, so the steady state allocates nothing and probes
-// touch contiguous memory.
+// Serves FlowTable's coflow-slot index (net/allocator.h), which maps a
+// coflow id to the slot holding its live rows. Entries sit inline in one
+// flat power-of-two array with linear probing and backward-shift deletion,
+// so the steady state allocates nothing and probes touch contiguous memory.
 //
 // Restrictions (checked where cheap):
-//  * Key 0 is reserved as the empty sentinel. The simulator's packed tags
-//    always carry a non-zero kind in the top bits, so 0 never occurs.
+//  * Key 0 is reserved as the empty sentinel (FlowTable keys a coflow by its
+//    id + 1).
 //  * No iteration — maps that are iterated (and whose iteration order feeds
 //    determinism-sensitive logic) must stay on std::unordered_map.
 //  * Iterators are invalidated by any mutation; `erase(it)` consumes the

@@ -1,10 +1,9 @@
-// FlatMap (util/flat_map.h): the simulator's open-addressing tag map.
+// FlatMap (util/flat_map.h): the flow table's open-addressing coflow index.
 //
 // Differential-tests FlatMap against std::unordered_map over randomized
 // insert/find/erase workloads, including a collision-heavy small key space
 // (long probe chains, so backward-shift deletion relocates entries), the
-// grow path, and erase-via-iterator right after find — the exact idiom the
-// simulator uses.
+// grow path, and erase-via-iterator right after find.
 #include <gtest/gtest.h>
 
 #include <cstdint>
