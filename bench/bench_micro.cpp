@@ -1,13 +1,12 @@
 // Micro-benchmarks (google-benchmark) for the core building blocks:
-// latency models, planner phases, LP bounds, rate allocators, simplex and
-// DFS placement.
+// latency models, planner phases, LP bounds, rate allocators, the dataset
+// placement LP and DFS placement.
 #include <benchmark/benchmark.h>
 
 #include "corral/dataset_lp.h"
 #include "corral/lp_bound.h"
 #include "corral/planner.h"
 #include "dfs/placement.h"
-#include "lp/simplex.h"
 #include "net/network.h"
 #include "obs/trace.h"
 #include "sim/simulator.h"
@@ -86,16 +85,6 @@ void BM_LpBatchBound(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LpBatchBound);
-
-void BM_SimplexLpBatch(benchmark::State& state) {
-  const auto jobs = sample_jobs(static_cast<int>(state.range(0)));
-  const LatencyModelParams p = params();
-  const auto functions = build_response_functions(jobs, 7, p);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(lp_batch_makespan_bound_simplex(functions, 7));
-  }
-}
-BENCHMARK(BM_SimplexLpBatch)->Arg(10)->Arg(20);
 
 void BM_MaxMinAllocate(benchmark::State& state) {
   const ClusterConfig cluster = ClusterConfig::paper_testbed();

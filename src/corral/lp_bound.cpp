@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "exec/exec.h"
-#include "lp/simplex.h"
 #include "util/check.h"
 
 namespace corral {
@@ -162,56 +161,6 @@ LpBatchSolution solve_lp_batch(std::span<const ResponseFunction> jobs,
 Seconds lp_batch_makespan_bound(std::span<const ResponseFunction> jobs,
                                 int num_racks, exec::ThreadPool* pool) {
   return solve_lp_batch(jobs, num_racks, pool).bound;
-}
-
-Seconds lp_batch_makespan_bound_simplex(std::span<const ResponseFunction> jobs,
-                                        int num_racks) {
-  require(num_racks >= 1,
-          "lp_batch_makespan_bound_simplex: num_racks must be >= 1");
-  const int J = static_cast<int>(jobs.size());
-  if (J == 0) return 0;
-
-  // Variables: x_{jr} for j in [0,J), r in [1,num_racks]; plus T last.
-  const int num_vars = J * num_racks + 1;
-  const int t_var = J * num_racks;
-  const auto x_index = [&](int j, int r) { return j * num_racks + (r - 1); };
-
-  LpProblem lp(num_vars);
-  std::vector<double> objective(static_cast<std::size_t>(num_vars), 0.0);
-  objective[static_cast<std::size_t>(t_var)] = 1.0;
-  lp.minimize(objective);
-
-  // (2) sum_r x_jr = 1.
-  for (int j = 0; j < J; ++j) {
-    std::vector<std::pair<int, double>> row;
-    for (int r = 1; r <= num_racks; ++r) row.emplace_back(x_index(j, r), 1.0);
-    lp.add_constraint_sparse(row, Relation::kEqual, 1.0);
-  }
-  // (3) sum_r x_jr L_j(r) - T <= 0.
-  for (int j = 0; j < J; ++j) {
-    std::vector<std::pair<int, double>> row;
-    for (int r = 1; r <= num_racks; ++r) {
-      row.emplace_back(x_index(j, r), jobs[static_cast<std::size_t>(j)].at(r));
-    }
-    row.emplace_back(t_var, -1.0);
-    lp.add_constraint_sparse(row, Relation::kLessEqual, 0.0);
-  }
-  // (4) sum_{j,r} x_jr L_j(r) r - T R <= 0.
-  {
-    std::vector<std::pair<int, double>> row;
-    for (int j = 0; j < J; ++j) {
-      for (int r = 1; r <= num_racks; ++r) {
-        row.emplace_back(x_index(j, r),
-                         jobs[static_cast<std::size_t>(j)].at(r) * r);
-      }
-    }
-    row.emplace_back(t_var, -static_cast<double>(num_racks));
-    lp.add_constraint_sparse(row, Relation::kLessEqual, 0.0);
-  }
-
-  const LpSolution solution = lp.solve();
-  ensure(solution.optimal(), "lp_batch_makespan_bound_simplex: LP not solved");
-  return solution.objective;
 }
 
 Seconds online_avg_completion_bound(std::span<const ResponseFunction> jobs,

@@ -9,9 +9,8 @@
 // capacity check, and the bound is found by binary search. At the bound,
 // each job's optimal basic solution is read off the two envelope vertices
 // that bracket it; LpRoundBackend (src/plan/lpround.cpp) rounds it into a
-// plan. The generic simplex solver on the LP as written in the appendix is
-// kept as a reference that cross-validates the reduction on small
-// instances.
+// plan. tests/lp_bound_test.cpp cross-validates the reduction against the
+// dense simplex solver on the LP as the appendix writes it.
 //
 // The paper omits the full online formulation ("we omit the full description
 // for brevity"); we use a valid-but-looser relaxation: the maximum of the
@@ -60,12 +59,6 @@ LpBatchSolution solve_lp_batch(std::span<const ResponseFunction> jobs,
 Seconds lp_batch_makespan_bound(std::span<const ResponseFunction> jobs,
                                 int num_racks,
                                 exec::ThreadPool* pool = nullptr);
-
-// The same bound computed with the dense simplex solver on the LP as the
-// appendix writes it: a reference for tests and bench_micro on small
-// instances (J * R up to a few thousand variables).
-Seconds lp_batch_makespan_bound_simplex(std::span<const ResponseFunction> jobs,
-                                        int num_racks);
 
 // Lower bound on the average completion (flow) time in the online scenario.
 Seconds online_avg_completion_bound(std::span<const ResponseFunction> jobs,

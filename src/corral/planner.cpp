@@ -275,11 +275,11 @@ class WideningChain {
         width_cap_(jobs.size(), num_racks) {
     // A job can never grow past the racks its placement leaves eligible —
     // widening beyond that only produces candidates the prioritization pass
-    // would reject anyway.
+    // would reject anyway. Every job holds at least one rack.
     if (config.placements != nullptr) {
       for (std::size_t j = 0; j < jobs.size(); ++j) {
-        width_cap_[j] =
-            std::min(num_racks, (*config.placements)[j].eligible_count);
+        width_cap_[j] = std::max(
+            1, std::min(num_racks, (*config.placements)[j].eligible_count));
       }
     }
     heap_.reserve(jobs.size());
@@ -312,6 +312,9 @@ class WideningChain {
   const std::vector<int>& racks() const { return racks_; }
   // L_j(r_j) at the current allocation.
   Seconds latency(std::size_t j) const { return latency_[j]; }
+  // The widest job j can grow: next() widens it no further, nor past a
+  // latency that is NaN or <= -1.
+  int width_cap(std::size_t j) const { return width_cap_[j]; }
 
  private:
   struct Entry {
@@ -378,30 +381,57 @@ class WideningChain {
 // Negative or non-finite initial rack finish times void the argument, and
 // so does a negative or non-finite latency: pruning is then off for the
 // whole search, or from the step that first meets such a latency on.
+//
+// The same argument bounds every later candidate, which lets the search
+// stop early. With explore_full_range the chain ends only once every job
+// has reached its width cap (can_widen fails exactly there while every
+// latency on the way is finite and non-negative), so from the current step
+// to the end of the chain job j takes only widths r_j..cap_j, and each of
+// those candidates has a volume of at least the floor
+//   sum_j min over r_j <= r <= cap_j of fl(r * L_j(r)).
+// Each job's term is a suffix minimum, not its current term: r * L_j(r)
+// can dip at a later width. low_at_[j] is the last width attaining it, so
+// the suffix is scanned again only once r_j passes it. floor_ and
+// floor_error_ follow the rules of sum_ and error_. The early stop is off
+// wherever pruning is, and also without explore_full_range (the chain's
+// length then depends on the stop rule) or when any latency on the chain is
+// negative or not finite.
 class RackTimeBound {
  public:
   static constexpr double kMargin = 1e-9;
 
-  RackTimeBound(const WideningChain& chain, std::size_t num_jobs,
-                int num_racks, const std::vector<Seconds>* initial_finish,
-                bool enabled)
-      : num_racks_(static_cast<double>(num_racks)),
-        slack_per_sum_(std::numeric_limits<double>::epsilon() *
-                       static_cast<double>(num_jobs)),
+  RackTimeBound(std::span<const ResponseFunction> jobs,
+                const WideningChain& chain, int num_racks,
+                const std::vector<Seconds>* initial_finish, bool enabled,
+                bool full_chain)
+      : jobs_(jobs),
+        chain_(chain),
+        num_racks_(static_cast<double>(num_racks)),
+        slack_per_sum_(kEpsilon * static_cast<double>(jobs.size())),
         enabled_(enabled),
-        term_(num_jobs) {
+        term_(jobs.size()) {
+    const std::size_t J = jobs.size();
     if (initial_finish != nullptr) {
       for (Seconds f : *initial_finish) {
-        if (!(std::isfinite(f) && f >= 0)) enabled_ = false;
+        if (!usable(f)) enabled_ = false;
       }
     }
-    for (std::size_t j = 0; j < num_jobs; ++j) {
+    for (std::size_t j = 0; j < J; ++j) {
       term_[j] = chain.latency(j);  // r_j = 1
       check(term_[j]);
       sum_ += term_[j];
     }
-    error_ = std::numeric_limits<double>::epsilon() *
-             static_cast<double>(num_jobs) * sum_;
+    error_ = kEpsilon * static_cast<double>(J) * sum_;
+
+    stop_enabled_ = enabled_ && full_chain;
+    if (!stop_enabled_) return;
+    low_.resize(J);
+    low_at_.resize(J);
+    for (std::size_t j = 0; j < J; ++j) {
+      scan_rest(j, 1);
+      floor_ += low_[j];
+    }
+    floor_error_ = kEpsilon * static_cast<double>(J) * floor_;
   }
 
   // Job j was just widened to r racks with latency L_j(r).
@@ -412,29 +442,83 @@ class RackTimeBound {
     const double partial = sum_ - term_[j];
     sum_ = partial + term;
     term_[j] = term;
-    error_ += std::numeric_limits<double>::epsilon() *
-              (term + std::abs(partial) + std::abs(sum_));
+    error_ += kEpsilon * (term + std::abs(partial) + std::abs(sum_));
+
+    if (!stop_enabled_ || r <= low_at_[j]) return;
+    const double floor_partial = floor_ - low_[j];
+    scan_rest(j, r);
+    floor_ = floor_partial + low_[j];
+    floor_error_ +=
+        kEpsilon * (low_[j] + std::abs(floor_partial) + std::abs(floor_));
   }
 
   // False only when the current candidate's makespan provably cannot be
   // strictly below `incumbent`.
   bool may_beat(double incumbent) const {
-    if (!enabled_) return true;
-    if (slack_per_sum_ * sum_ + error_ > 0.5 * kMargin * sum_) return true;
-    return sum_ / num_racks_ * (1.0 - kMargin) < incumbent;
+    return !enabled_ || below(sum_, error_, incumbent);
+  }
+
+  // False only when no candidate from the current step to the end of the
+  // chain can have a makespan strictly below `incumbent`.
+  bool rest_may_beat(double incumbent) const {
+    return !stop_enabled_ || below(floor_, floor_error_, incumbent);
+  }
+
+  // Chain steps after the current one: sum_j (cap_j - r_j).
+  std::size_t remaining() const {
+    std::size_t steps = 0;
+    for (std::size_t j = 0; j < jobs_.size(); ++j) {
+      steps +=
+          static_cast<std::size_t>(chain_.width_cap(j) - chain_.racks()[j]);
+    }
+    return steps;
   }
 
  private:
-  void check(Seconds latency) {
-    if (!(std::isfinite(latency) && latency >= 0)) enabled_ = false;
+  static constexpr double kEpsilon = std::numeric_limits<double>::epsilon();
+
+  // True unless volume / R, shrunk by the margin, is provably >= incumbent.
+  bool below(double volume, double error, double incumbent) const {
+    if (slack_per_sum_ * volume + error > 0.5 * kMargin * volume) return true;
+    return volume / num_racks_ * (1.0 - kMargin) < incumbent;
   }
 
+  static bool usable(Seconds value) {
+    return std::isfinite(value) && value >= 0;
+  }
+
+  void check(Seconds latency) {
+    if (!usable(latency)) enabled_ = false;
+  }
+
+  // Sets low_[j] and low_at_[j] over widths from..cap_j, and turns the
+  // early stop off at a negative or non-finite latency.
+  void scan_rest(std::size_t j, int from) {
+    low_[j] = std::numeric_limits<double>::infinity();
+    for (int r = from; r <= chain_.width_cap(j); ++r) {
+      const Seconds latency = jobs_[j].at(r);
+      if (!usable(latency)) stop_enabled_ = false;
+      const double term = static_cast<double>(r) * latency;
+      if (term <= low_[j]) {
+        low_[j] = term;
+        low_at_[j] = r;
+      }
+    }
+  }
+
+  std::span<const ResponseFunction> jobs_;
+  const WideningChain& chain_;
   double num_racks_;
   double slack_per_sum_;
   bool enabled_;
+  bool stop_enabled_ = false;
   std::vector<double> term_;  // r_j * L_j(r_j) as added to sum_
   double sum_ = 0;
   double error_ = 0;
+  std::vector<double> low_;   // the suffix minimum as added to floor_
+  std::vector<int> low_at_;   // the last width attaining it
+  double floor_ = 0;
+  double floor_error_ = 0;
 };
 
 // The provisioning phase (§4.2) over one window of jobs: starts every job
@@ -447,13 +531,16 @@ class RackTimeBound {
 //
 // Under the makespan objective the search is an exact branch-and-bound:
 // a candidate whose rack-time bound (RackTimeBound) cannot beat the best
-// value found before its block is skipped without a prioritization pass.
-// Which candidates get skipped depends on the block size, hence on the pool
-// width, but a skipped candidate's value is never strictly below an earlier
-// one, so it can never be the first minimum: the winner is the same as an
-// exhaustive search. At trace level tasks every candidate is evaluated so
-// the decision log keeps one event per candidate. Returns the winning
-// rack-count vector.
+// value found before its block is skipped without a prioritization pass,
+// and the chain stops once the bound's floor shows that no candidate from
+// there to its end can. Which candidates get skipped, and where the chain
+// stops, depends on the block sizes, hence on the pool width, but a skipped
+// candidate's value is never strictly below an earlier one, so it can never
+// be the first minimum: the winner is the same as an exhaustive search.
+// `evaluated_candidates` grows by the full chain length plus one, the steps
+// after the stop included. At trace level tasks every candidate is
+// evaluated so the decision log keeps one event per candidate. Returns the
+// winning rack-count vector.
 std::vector<int> provision(std::span<const ResponseFunction> jobs,
                            int num_racks, const PlannerConfig& config,
                            const std::vector<Seconds>* initial_finish,
@@ -482,17 +569,22 @@ std::vector<int> provision(std::span<const ResponseFunction> jobs,
     trace.instant(obs::TraceTrack::kPlanner, "candidate", "planner", -1, 0.0,
                   {obs::arg("step", 0.0), obs::arg("value", best_value)});
   }
-  RackTimeBound bound(chain, J, num_racks, initial_finish,
+  RackTimeBound bound(jobs, chain, num_racks, initial_finish,
                       config.objective == Objective::kMakespan &&
-                          !trace_candidates);
+                          !trace_candidates,
+                      config.explore_full_range);
 
   // Blocked evaluation bounds the materialized candidate allocations to
-  // `block * J` ints while keeping every worker busy within a block. They
-  // sit in one reused buffer, candidate i at [i * J, (i + 1) * J).
-  const std::size_t block = std::max<std::size_t>(
-      64, static_cast<std::size_t>(pool.threads()) * 16);
+  // `max_block * J` ints while keeping every worker busy within a block.
+  // They sit in one reused buffer, candidate i at [i * J, (i + 1) * J). The
+  // first block holds one candidate per worker and each later block twice
+  // as many, up to max_block: the first candidates are judged against the
+  // weak all-ones incumbent, and the better one they find prunes the later,
+  // larger blocks.
+  const auto workers = static_cast<std::size_t>(pool.threads());
+  const std::size_t max_block = std::max<std::size_t>(64, workers * 16);
+  std::size_t block = workers;
   std::vector<int> candidates;
-  candidates.reserve(block * J);
   const auto candidate = [&](std::size_t i) {
     return std::span<const int>(candidates).subspan(i * J, J);
   };
@@ -514,6 +606,11 @@ std::vector<int> provision(std::span<const ResponseFunction> jobs,
       ++chain_length;
       const auto sj = static_cast<std::size_t>(j);
       bound.widen(sj, chain.racks()[sj], chain.latency(sj));
+      if (!bound.rest_may_beat(best_value)) {
+        chain_length += bound.remaining();
+        chain_done = true;
+        break;
+      }
       if (!bound.may_beat(best_value)) continue;
       candidates.insert(candidates.end(), chain.racks().begin(),
                         chain.racks().end());
@@ -546,6 +643,7 @@ std::vector<int> provision(std::span<const ResponseFunction> jobs,
         best_racks.assign(candidate(i).begin(), candidate(i).end());
       }
     }
+    block = std::min(2 * block, max_block);
   }
   if (evaluated_candidates != nullptr) {
     *evaluated_candidates += chain_length + 1;

@@ -11,8 +11,9 @@
 //    the currently-longest job by one rack, evaluating each of the J*R
 //    candidate allocations with the prioritization phase and keeping the
 //    best. Under the makespan objective a candidate whose rack-time lower
-//    bound cannot beat the best so far is skipped; the result is the same
-//    plan (docs/planners.md "Bound-and-prune provisioning").
+//    bound cannot beat the best so far is skipped, and the chain stops once
+//    no later candidate can; the result is the same plan
+//    (docs/planners.md "Bound-and-prune provisioning").
 //  * Prioritization phase — an extension of LPT to multi-rack (malleable)
 //    jobs: widest-job first, ties broken by processing time (Figure 4).
 #ifndef CORRAL_CORRAL_PLANNER_H_
@@ -64,10 +65,9 @@ struct PlannerConfig {
   // Decision-log tracing (docs/observability.md): when set, the planner
   // records a "provision" span, per-candidate evaluations (at trace level
   // tasks) and per-job "assign" events into `tracer->sink(trace_sink)`.
-  // Timestamps are logical step indices unless the tracer opted into wall
-  // clock. Candidate events are recorded on the calling thread after each
-  // parallel evaluation block, in step order, so the decision log is
-  // byte-identical at any pool width.
+  // Timestamps are logical step indices. Candidate events are recorded on
+  // the calling thread after each parallel evaluation block, in step order,
+  // so the decision log is byte-identical at any pool width.
   obs::Tracer* tracer = nullptr;
   int trace_sink = 0;
 
@@ -98,13 +98,14 @@ struct Plan {
   Seconds predicted_makespan = 0;
   Seconds predicted_avg_completion = 0;  // mean of (completion - arrival)
   // Candidate allocations the provisioning search considered to produce
-  // this plan, pruned ones included: the J*R chain plus the all-ones start
-  // (summed over windows for plan_rolling). The bound-and-prune search
-  // skips most of them without a prioritization pass, and which ones it
-  // skips depends on the pool width, so the count deliberately ignores
-  // pruning. A deterministic, width-independent measure of replan cost,
-  // used by the control plane as its "replan latency" metric — wall time
-  // would break the byte-identical-across-threads contract.
+  // this plan: the whole J*R chain plus the all-ones start (summed over
+  // windows for plan_rolling). The bound-and-prune search skips most of
+  // them without a prioritization pass and never generates the steps after
+  // it stops, and both depend on the pool width, so the count deliberately
+  // ignores pruning and the stop. A deterministic, width-independent
+  // measure of replan cost, used by the control plane as its "replan
+  // latency" metric — wall time would break the byte-identical-across-
+  // threads contract.
   std::size_t evaluated_candidates = 0;
 
   double objective_value(Objective objective) const {

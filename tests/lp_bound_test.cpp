@@ -2,6 +2,7 @@
 
 #include "corral/lp_bound.h"
 #include "corral/planner.h"
+#include "lp/simplex.h"
 #include "util/rng.h"
 
 namespace corral {
@@ -44,6 +45,44 @@ TEST(LpBatchBound, CapacityBindsWithManyJobs) {
   EXPECT_NEAR(lp_batch_makespan_bound(jobs, 4), 20.0, 1e-6);
 }
 
+// Reference: LP-Batch as the appendix writes it, solved with the dense
+// simplex solver. Variables x_{jr} (job j's share of width r) for j in
+// [0, J), r in [1, R], then the makespan T.
+double lp_batch_bound_by_simplex(std::span<const ResponseFunction> jobs,
+                                 int num_racks) {
+  const int J = static_cast<int>(jobs.size());
+  const int t_var = J * num_racks;
+  const auto x_index = [&](int j, int r) { return j * num_racks + (r - 1); };
+
+  LpProblem lp(t_var + 1);
+  std::vector<double> objective(static_cast<std::size_t>(t_var) + 1, 0.0);
+  objective[static_cast<std::size_t>(t_var)] = 1.0;
+  lp.minimize(std::move(objective));
+
+  std::vector<std::pair<int, double>> capacity;
+  for (int j = 0; j < J; ++j) {
+    const ResponseFunction& job = jobs[static_cast<std::size_t>(j)];
+    // (2) sum_r x_jr = 1 and (3) sum_r x_jr L_j(r) - T <= 0.
+    std::vector<std::pair<int, double>> one;
+    std::vector<std::pair<int, double>> latency;
+    for (int r = 1; r <= num_racks; ++r) {
+      one.emplace_back(x_index(j, r), 1.0);
+      latency.emplace_back(x_index(j, r), job.at(r));
+      capacity.emplace_back(x_index(j, r), job.at(r) * r);
+    }
+    latency.emplace_back(t_var, -1.0);
+    lp.add_constraint_sparse(one, Relation::kEqual, 1.0);
+    lp.add_constraint_sparse(latency, Relation::kLessEqual, 0.0);
+  }
+  // (4) sum_{j,r} x_jr L_j(r) r - T R <= 0.
+  capacity.emplace_back(t_var, -static_cast<double>(num_racks));
+  lp.add_constraint_sparse(capacity, Relation::kLessEqual, 0.0);
+
+  const LpSolution solution = lp.solve();
+  EXPECT_TRUE(solution.optimal());
+  return solution.objective;
+}
+
 TEST(LpBatchBound, MatchesSimplexOnRandomInstances) {
   Rng rng(2024);
   for (int trial = 0; trial < 10; ++trial) {
@@ -51,7 +90,7 @@ TEST(LpBatchBound, MatchesSimplexOnRandomInstances) {
     const int R = rng.uniform_int(2, 6);
     const auto jobs = random_instance(rng, J, R);
     const double fast = lp_batch_makespan_bound(jobs, R);
-    const double simplex = lp_batch_makespan_bound_simplex(jobs, R);
+    const double simplex = lp_batch_bound_by_simplex(jobs, R);
     EXPECT_NEAR(fast, simplex, 1e-4 * std::max(1.0, simplex))
         << "trial " << trial << " J=" << J << " R=" << R;
   }

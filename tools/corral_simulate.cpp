@@ -147,9 +147,17 @@ int main(int argc, char** argv) {
                 std::string(to_string(sim.net_policy)).c_str());
     std::printf("jobs:              %zu\n", result.jobs.size());
     std::printf("makespan:          %.1f s\n", result.makespan);
-    std::printf("avg completion:    %.1f s\n", result.avg_completion());
-    std::printf("median completion: %.1f s\n", result.median_completion());
-    std::printf("p90 completion:    %.1f s\n", percentile(jct, 90));
+    // Failed jobs have no completion time, so when every job failed there
+    // is no average, median or p90 to print.
+    if (jct.empty()) {
+      std::printf("avg completion:    n/a\n");
+      std::printf("median completion: n/a\n");
+      std::printf("p90 completion:    n/a\n");
+    } else {
+      std::printf("avg completion:    %.1f s\n", result.avg_completion());
+      std::printf("median completion: %.1f s\n", result.median_completion());
+      std::printf("p90 completion:    %.1f s\n", percentile(jct, 90));
+    }
     std::printf("cross-rack data:   %.2f TB\n",
                 result.total_cross_rack_bytes / kTB);
     std::printf("compute hours:     %.1f h\n", result.total_compute_hours);
