@@ -75,8 +75,8 @@ double time_region(Fn fn) {
 // A mid-grid Fig 5 point: 150 W3 jobs on a 40-rack x 40-machine cluster,
 // planned single-threaded (the serial provisioning search is the regression
 // target; pool speedup is a separate axis). One bound-and-prune plan takes
-// milliseconds, so the timed region repeats it enough times to run >= 0.3 s
-// and keep the 15% tolerance well clear of timer and scheduler noise.
+// a fraction of a millisecond, so the timed region repeats it 1,000 times
+// (~0.2 s) to keep the 15% tolerance well clear of timer and scheduler noise.
 ClusterConfig planner_cluster() {
   ClusterConfig cluster;
   cluster.racks = 40;
@@ -95,7 +95,7 @@ double planner_workload() {
   PlannerConfig config;
   config.pool = &pool;
   return time_region([&] {
-    for (int repeat = 0; repeat < 300; ++repeat) {
+    for (int repeat = 0; repeat < 1000; ++repeat) {
       (void)plan_offline(jobs, cluster, config);
     }
   });

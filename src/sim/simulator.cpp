@@ -14,6 +14,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/event_queue.h"
+#include "sim/locality_index.h"
 #include "util/check.h"
 
 namespace corral {
@@ -81,6 +82,12 @@ Phase fetch_phase(FlowKind kind) {
   return kind == FlowKind::kMapFetch ? kMap : kReduce;
 }
 
+// A stage whose maps send output to its reduces: its map output is tracked
+// by rack and machine to size the reduces' fan-in flows.
+bool shuffles(const MapReduceSpec& spec) {
+  return spec.shuffle_bytes > 0 && spec.num_reduces > 0;
+}
+
 // One running copy of a task. A task has a primary and, under Hadoop-style
 // speculation, at most one backup; the first copy to compute wins. The
 // primary keeps its id (and start) while queued: events and flows of any
@@ -146,19 +153,21 @@ struct StageRuntime {
   // --- map side ---
   std::vector<bool> map_taken;
   std::vector<int> map_exec_machine;  // machine of a completed map, or -1
-  // Chunk-level locality indices for source stages (lazy deletion).
   const FileLayout* input_file = nullptr;
   // Source stage reading from the external storage cluster (§7).
   bool remote_input = false;
-  std::unordered_map<int, std::vector<int>> maps_by_machine;
-  std::unordered_map<int, std::vector<int>> maps_by_rack;
+  // Chunk-level locality indices of a stage with an input file.
+  LocalityIndex maps_by_machine;
+  LocalityIndex maps_by_rack;
   // Non-source stages read their parents' outputs, spread over racks.
   std::vector<Bytes> stage_input_by_rack;
 
   // --- shuffle bookkeeping ---
   std::vector<Bytes> map_output_by_rack;
-  std::vector<std::unordered_set<int>> map_machines_by_rack;
-  std::unordered_map<int, int> maps_on_machine;  // completed maps per host
+  std::vector<int> maps_on_machine;  // completed maps whose output it holds
+  // Machines of the rack holding map output (maps_on_machine > 0), counted
+  // only when the stage shuffles: the width of a reduce's fan-in flow.
+  std::vector<int> map_machines_in_rack;
 
   // --- reduce side ---
   std::vector<bool> reduce_done;
@@ -358,15 +367,21 @@ class Simulator {
     SimResult result;
     result.policy_name = std::string(policy_.name());
     result.input_balance_cov = dfs_.rack_balance_cov();
+    ensure(pending_total_ == 0, "run: tasks still queued");
     for (JobRuntime& J : jobs_) {
       ensure(J.finished, "run: job did not finish");
-      // Every launched attempt finished, was killed or was requeued.
-      for (const StageRuntime& S : J.stages) {
+      ensure(J.pending_tasks == 0, "run: queued-task count out of step");
+      for (std::size_t s = 0; s < J.stages.size(); ++s) {
+        const StageRuntime& S = J.stages[s];
+        // Every launched attempt finished, was killed or was requeued.
         for (const TaskTable& T : S.tasks) {
           ensure(std::ranges::all_of(T.primary, &Attempt::idle) &&
                      std::ranges::all_of(T.backup, &Attempt::idle),
                  "run: an attempt outlived its job");
         }
+        ensure(S.map_machines_in_rack ==
+                   recount_map_machines(S, J.spec->stages[s]),
+               "run: shuffle width out of step with map outputs");
       }
       result.makespan = std::max(result.makespan, J.result.finish);
       result.total_cross_rack_bytes += J.result.cross_rack_bytes;
@@ -402,6 +417,21 @@ class Simulator {
   StageRuntime& stage_rt(int job, int stage) {
     return jobs_[static_cast<std::size_t>(job)]
         .stages[static_cast<std::size_t>(stage)];
+  }
+
+  // A stage's per-rack count of machines holding its map output, recounted
+  // from the per-machine counts (empty for a stage never activated).
+  std::vector<int> recount_map_machines(const StageRuntime& S,
+                                        const MapReduceSpec& spec) const {
+    std::vector<int> counts(S.map_machines_in_rack.size(), 0);
+    if (!shuffles(spec)) return counts;
+    for (std::size_t m = 0; m < S.maps_on_machine.size(); ++m) {
+      if (S.maps_on_machine[m] > 0) {
+        ++counts[static_cast<std::size_t>(
+            topology_.rack_of(static_cast<int>(m)))];
+      }
+    }
+    return counts;
   }
 
   void push_event(Event event) {
@@ -541,23 +571,24 @@ class Simulator {
     S.reduce_done.assign(static_cast<std::size_t>(spec.num_reduces), false);
     S.map_output_by_rack.assign(static_cast<std::size_t>(topology_.racks()),
                                 0.0);
-    S.map_machines_by_rack.resize(
-        static_cast<std::size_t>(topology_.racks()));
+    S.maps_on_machine.assign(static_cast<std::size_t>(topology_.machines()), 0);
+    S.map_machines_in_rack.assign(static_cast<std::size_t>(topology_.racks()),
+                                  0);
     S.output_by_rack.assign(static_cast<std::size_t>(topology_.racks()), 0.0);
     for (int t = 0; t < spec.num_maps; ++t) S.tasks[kMap].queue.push_back(t);
     S.tasks[kMap].pending = spec.num_maps;
     J.pending_tasks += spec.num_maps;
+    pending_total_ += spec.num_maps;
 
     if (S.input_file != nullptr) {
-      // Chunk-level locality index: map t reads chunk t.
-      for (int t = 0; t < spec.num_maps; ++t) {
-        const auto& replicas =
-            S.input_file->chunks[static_cast<std::size_t>(t)].machines;
-        for (int m : replicas) {
-          S.maps_by_machine[m].push_back(t);
-          S.maps_by_rack[topology_.rack_of(m)].push_back(t);
-        }
-      }
+      // Chunk-level locality indices: map t reads chunk t.
+      const auto replicas = [&](int t) -> const std::vector<int>& {
+        return S.input_file->chunks[static_cast<std::size_t>(t)].machines;
+      };
+      S.maps_by_machine.build(topology_.machines(), spec.num_maps, replicas,
+                              [](int m) { return m; });
+      S.maps_by_rack.build(topology_.racks(), spec.num_maps, replicas,
+                           [&](int m) { return topology_.rack_of(m); });
     } else {
       // Non-source stage: input is the union of parent outputs.
       S.stage_input_by_rack.assign(
@@ -587,6 +618,7 @@ class Simulator {
     T.computed[st] = false;
     --T.pending;
     --J.pending_tasks;
+    --pending_total_;
     --slots_free_[static_cast<std::size_t>(machine)];
     a.start = now_;
     if (J.result.first_task_start < 0) J.result.first_task_start = now_;
@@ -683,8 +715,8 @@ class Simulator {
           S.map_output_by_rack[static_cast<std::size_t>(r)] /
           spec.num_reduces;
       if (bytes < kMinFlowBytes) continue;
-      const double width = std::max<std::size_t>(
-          1, S.map_machines_by_rack[static_cast<std::size_t>(r)].size());
+      const double width = std::max(
+          1, S.map_machines_in_rack[static_cast<std::size_t>(r)]);
       note_flow(network_.start_fanin_flow(
           r, machine, bytes, width, coflow_id(j, s),
           pack_tag(FlowKind::kReduceFetch, attempt, j, s, task)));
@@ -781,11 +813,14 @@ class Simulator {
     if (phase == kMap) {
       const int rack = topology_.rack_of(machine);
       S.map_exec_machine[st] = machine;
-      ++S.maps_on_machine[machine];
-      if (spec.shuffle_bytes > 0 && spec.num_reduces > 0) {
+      const bool first_on_machine =
+          ++S.maps_on_machine[static_cast<std::size_t>(machine)] == 1;
+      if (shuffles(spec)) {
         S.map_output_by_rack[static_cast<std::size_t>(rack)] +=
             spec.shuffle_bytes / spec.num_maps;
-        S.map_machines_by_rack[static_cast<std::size_t>(rack)].insert(machine);
+        if (first_on_machine) {
+          ++S.map_machines_in_rack[static_cast<std::size_t>(rack)];
+        }
       }
       if (spec.num_reduces == 0) {
         // Map-only stage: output materializes where the maps ran.
@@ -825,6 +860,7 @@ class Simulator {
         R.queue.push_back(t);
         ++R.pending;
         ++J.pending_tasks;
+        ++pending_total_;
       }
     }
     new_work_ = true;
@@ -908,6 +944,7 @@ class Simulator {
         }
       }
     }
+    pending_total_ -= J.pending_tasks;
     J.pending_tasks = 0;
     forget_flows(network_.cancel_flows_if([&](const Flow& flow) {
       return tag_kind(flow.tag) != FlowKind::kRereplicate &&
@@ -1076,16 +1113,15 @@ class Simulator {
 
         // Lost map outputs: the machine held completed maps' intermediate
         // data that reduces have not fully consumed yet.
-        const auto lost_it = S.maps_on_machine.find(machine);
-        if (!J.finished && lost_it != S.maps_on_machine.end() &&
-            lost_it->second > 0) {
+        int& lost = S.maps_on_machine[static_cast<std::size_t>(machine)];
+        if (!J.finished && lost > 0) {
           for (int t = 0; t < spec.num_maps && !J.finished; ++t) {
             if (S.map_exec_machine[static_cast<std::size_t>(t)] != machine) {
               continue;
             }
             S.map_exec_machine[static_cast<std::size_t>(t)] = -1;
             --S.tasks[kMap].done;
-            if (spec.shuffle_bytes > 0 && spec.num_reduces > 0) {
+            if (shuffles(spec)) {
               S.map_output_by_rack[static_cast<std::size_t>(machine_rack)] -=
                   spec.shuffle_bytes / spec.num_maps;
             }
@@ -1093,9 +1129,10 @@ class Simulator {
             requeue(kMap, j, s, t, /*release_slot=*/false);
           }
           if (!J.finished) {
-            S.maps_on_machine.erase(machine);
-            S.map_machines_by_rack[static_cast<std::size_t>(machine_rack)]
-                .erase(machine);
+            lost = 0;
+            if (shuffles(spec)) {
+              --S.map_machines_in_rack[static_cast<std::size_t>(machine_rack)];
+            }
             if (S.state == StageState::kReducing) {
               demote_to_mapping(j, s);
             }
@@ -1354,6 +1391,7 @@ class Simulator {
     T.queue.push_back(task);
     ++T.pending;
     ++J.pending_tasks;
+    ++pending_total_;
   }
 
   // Sends a reducing stage back to the map phase after intermediate data
@@ -1381,6 +1419,7 @@ class Simulator {
       }
     }
     J.pending_tasks -= R.pending;
+    pending_total_ -= R.pending;
     R.pending = 0;
     R.queue.clear();
     S.state = StageState::kMapping;
@@ -1408,6 +1447,9 @@ class Simulator {
   }
 
   void try_fill(int machine) {
+    // With no queued task anywhere only a speculative backup could take
+    // the slot; without speculation assign_one_task would find nothing.
+    if (pending_total_ == 0 && !config_.enable_speculation) return;
     if (!topology_.is_up(machine)) return;
     while (slots_free_[static_cast<std::size_t>(machine)] > 0) {
       if (!assign_one_task(machine)) break;
@@ -1443,14 +1485,14 @@ class Simulator {
         }
         // Delay scheduling: node-local first; otherwise the job skips this
         // opportunity until it has waited long enough for rack-local / any.
-        int task = pop_local_map(S, S.maps_by_machine, machine);
+        int task = S.maps_by_machine.pop(machine, S.map_taken);
         if (task >= 0) {
           J.delay_skips = 0;
           start_task(kMap, j, static_cast<int>(s), task, machine);
           return true;
         }
         if (J.delay_skips >= config_.node_local_skips) {
-          task = pop_local_map(S, S.maps_by_rack, rack);
+          task = S.maps_by_rack.pop(rack, S.map_taken);
           if (task >= 0) {
             start_task(kMap, j, static_cast<int>(s), task, machine);
             return true;
@@ -1469,21 +1511,6 @@ class Simulator {
     // straggling task (Hadoop-style, only on otherwise-idle capacity).
     if (config_.enable_speculation && try_speculate(machine)) return true;
     return false;
-  }
-
-  static int pop_local_map(StageRuntime& S,
-                           std::unordered_map<int, std::vector<int>>& index,
-                           int key) {
-    const auto it = index.find(key);
-    if (it == index.end()) return -1;
-    auto& tasks = it->second;
-    while (!tasks.empty()) {
-      const int task = tasks.back();
-      tasks.pop_back();
-      if (!S.map_taken[static_cast<std::size_t>(task)]) return task;
-    }
-    // Keep the bucket: a requeued map may become eligible here again.
-    return -1;
   }
 
   static int pop_any_map(StageRuntime& S) {
@@ -1672,6 +1699,7 @@ class Simulator {
   std::vector<int> slots_free_;
   std::vector<int> freed_machines_;
   bool new_work_ = false;
+  int pending_total_ = 0;  // sum of every job's pending_tasks
 
   // Pending events, popped in ascending (time, seq) order
   // (sim/event_queue.h). push_event aligns times to the batching quantum.
