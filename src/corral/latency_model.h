@@ -36,8 +36,6 @@ struct LatencyModelParams {
 
   // alpha = 1 / (rack uplink bandwidth), the paper's default (§4.5).
   double default_alpha() const;
-
-  int tasks_per_rack() const { return machines_per_rack * slots_per_machine; }
 };
 
 // Latency of one MapReduce stage on r racks (§4.3), without the imbalance

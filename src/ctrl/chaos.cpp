@@ -15,12 +15,6 @@ namespace {
 constexpr std::string_view kFaultNames[kChaosFaultKinds] = {
     "spike", "nan", "overrun", "corrupt", "loss", "stale", "exec", "crash"};
 
-// Stream separation matching the control loop's seed derivation: one
-// independent stream per (epoch, fault kind).
-std::uint64_t substream(std::uint64_t seed, std::uint64_t index) {
-  return seed ^ (0x9e3779b97f4a7c15ull * (index + 1));
-}
-
 bool parse_number(const std::string& text, double* out) {
   char* end = nullptr;
   const double value = std::strtod(text.c_str(), &end);

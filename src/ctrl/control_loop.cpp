@@ -8,6 +8,7 @@
 #include "ctrl/tenant.h"
 #include "obs/metrics.h"
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace corral {
 
@@ -97,7 +98,7 @@ std::vector<RecurringPipeline> make_recurring_fleet(const W1Config& config,
     shape.noise = 0.065;  // the paper's 6.5% prediction error (§2, Fig 1)
     shape.drift_per_day = 0.001 + 0.0005 * static_cast<double>(j % 3);
     shape.runs_per_day = 1;
-    Rng job_rng(ctrl_detail::substream(seed, j));
+    Rng job_rng(substream(seed, j));
     pipeline.timeline = generate_history(shape, days, job_rng);
     pipeline.history.assign(
         pipeline.timeline.begin(),

@@ -12,6 +12,7 @@
 #include "obs/trace.h"
 #include "sim/batch.h"
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace corral {
 namespace {
@@ -97,8 +98,7 @@ std::uint64_t tenant_seed(std::uint64_t base, int tenant) {
   if (tenant == 0) return base;
   // Index offset keeps tenant substreams far from the per-epoch (small
   // indices) and chaos (0xC4A05) substreams of the same base seed.
-  return ctrl_detail::substream(
-      base, 0x7E4A0000ull + static_cast<std::uint64_t>(tenant));
+  return substream(base, 0x7E4A0000ull + static_cast<std::uint64_t>(tenant));
 }
 
 std::vector<ServiceTenant> make_service_fleet(

@@ -10,13 +10,10 @@
 #include "plan/backend.h"
 #include "util/check.h"
 #include "util/hash.h"
+#include "util/rng.h"
 
 namespace corral {
 namespace ctrl_detail {
-
-std::uint64_t substream(std::uint64_t seed, std::uint64_t index) {
-  return seed ^ (0x9e3779b97f4a7c15ull * (index + 1));
-}
 
 std::vector<int> outage_racks_for_epoch(const ControlLoopConfig& config,
                                         int epoch) {
@@ -97,8 +94,7 @@ TenantLoop::TenantLoop(std::vector<RecurringPipeline> pipelines,
   }
   if (!config_.chaos.empty()) {
     const std::uint64_t schedule_seed =
-        chaos_seed != 0 ? chaos_seed
-                        : ctrl_detail::substream(seed_, 0xC4A05u);
+        chaos_seed != 0 ? chaos_seed : substream(seed_, 0xC4A05u);
     chaos_schedule_ =
         ChaosSchedule(config_.chaos, config_.epochs,
                       static_cast<int>(pipelines_.size()), schedule_seed);
@@ -402,7 +398,7 @@ EpochReport TenantLoop::run_epoch(int epoch,
       batch_case.label = label_prefix_ + "epoch" + std::to_string(epoch);
       batch_case.jobs = realized;
       batch_case.config.cluster = config_.cluster;
-      batch_case.config.seed = ctrl_detail::substream(seed_, epoch);
+      batch_case.config.seed = substream(seed_, epoch);
       batch_case.config.tracer = config_.tracer;
       batch_case.config.trace_sink = sink_base_ + 2 + 2 * epoch;
       batch_case.config.trace_label = batch_case.label + "/sim";

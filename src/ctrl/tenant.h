@@ -41,11 +41,6 @@ namespace corral {
 
 namespace ctrl_detail {
 
-// Splitmix-style per-index stream separation, matching the seed derivation
-// used elsewhere in the tree (one independent stream per epoch / pipeline /
-// tenant).
-std::uint64_t substream(std::uint64_t seed, std::uint64_t index);
-
 // Racks down during this epoch, sorted, deduplicated.
 std::vector<int> outage_racks_for_epoch(const ControlLoopConfig& config,
                                         int epoch);
@@ -105,8 +100,6 @@ class TenantLoop {
 
   // Totals over every recorded epoch. Call once, after the last epoch.
   ControlLoopResult finish();
-
-  std::size_t pipeline_count() const { return pipelines_.size(); }
 
  private:
   const ControlLoopConfig& config_;

@@ -14,25 +14,19 @@ bool FileLayout::chunk_on_machine(int chunk, int machine) const {
          replicas.end();
 }
 
-bool FileLayout::chunk_in_rack(int chunk, int rack,
-                               const ClusterTopology& topology) const {
-  const auto& replicas = chunks[static_cast<std::size_t>(chunk)].machines;
-  return std::any_of(replicas.begin(), replicas.end(), [&](int m) {
-    return topology.rack_of(m) == rack;
-  });
-}
-
 int FileLayout::closest_replica(int chunk, int machine,
                                 const ClusterTopology& topology) const {
   const auto& replicas = chunks[static_cast<std::size_t>(chunk)].machines;
-  require(!replicas.empty(), "closest_replica: chunk has no replicas");
   const int rack = topology.rack_of(machine);
   int rack_local = -1;
+  int first_up = -1;
   for (int m : replicas) {
+    if (!topology.is_up(m)) continue;
     if (m == machine) return m;
     if (rack_local < 0 && topology.rack_of(m) == rack) rack_local = m;
+    if (first_up < 0) first_up = m;
   }
-  return rack_local >= 0 ? rack_local : replicas.front();
+  return rack_local >= 0 ? rack_local : first_up;
 }
 
 Dfs::Dfs(const ClusterTopology* topology, DfsConfig config)
@@ -84,19 +78,6 @@ const FileLayout& Dfs::file(const std::string& name) const {
   return it->second;
 }
 
-void Dfs::remove_file(const std::string& name) {
-  const auto it = files_.find(name);
-  require(it != files_.end(), "remove_file: no such file");
-  for (const auto& chunk : it->second.chunks) {
-    for (int m : chunk.machines) {
-      machine_bytes_[static_cast<std::size_t>(m)] -= chunk.bytes;
-      rack_bytes_[static_cast<std::size_t>(topology_->rack_of(m))] -=
-          chunk.bytes;
-    }
-  }
-  files_.erase(it);
-}
-
 std::vector<LostReplica> Dfs::drop_replicas_on(int machine) {
   require(machine >= 0 && machine < topology_->machines(),
           "drop_replicas_on: machine id out of range");
@@ -142,8 +123,6 @@ void Dfs::add_replica(const std::string& name, int chunk, int machine) {
   rack_bytes_[static_cast<std::size_t>(topology_->rack_of(machine))] +=
       location.bytes;
 }
-
-std::vector<double> Dfs::rack_load_vector() const { return rack_bytes_; }
 
 double Dfs::rack_balance_cov() const {
   return coefficient_of_variation(rack_bytes_);

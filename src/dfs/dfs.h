@@ -38,11 +38,9 @@ struct FileLayout {
 
   // True when some replica of `chunk` lives on `machine`.
   bool chunk_on_machine(int chunk, int machine) const;
-  // True when some replica of `chunk` lives in `rack`.
-  bool chunk_in_rack(int chunk, int rack,
-                     const ClusterTopology& topology) const;
-  // A replica machine for `chunk`, preferring `machine` itself, then its
-  // rack, then any replica.
+  // A replica machine of `chunk` that is up, preferring `machine` itself,
+  // then its rack, then the first in replica order; -1 when every replica
+  // is down or gone.
   int closest_replica(int chunk, int machine,
                       const ClusterTopology& topology) const;
 };
@@ -70,7 +68,6 @@ class Dfs {
 
   bool has_file(const std::string& name) const;
   const FileLayout& file(const std::string& name) const;
-  void remove_file(const std::string& name);
 
   // Failure handling (§7): drops every replica stored on `machine` across
   // all files — a fail-stop crash loses the disk — and returns the chunks
@@ -98,7 +95,6 @@ class Dfs {
             "rack_bytes: id out of range");
     return rack_bytes_[static_cast<std::size_t>(rack)];
   }
-  std::vector<double> rack_load_vector() const;
 
   // Coefficient of variation of per-rack stored bytes — the data-balance
   // metric reported in §6.2 ("Data balance").

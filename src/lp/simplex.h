@@ -35,7 +35,6 @@ class LpProblem {
   explicit LpProblem(int num_vars);
 
   int num_vars() const { return num_vars_; }
-  int num_constraints() const { return static_cast<int>(rows_.size()); }
 
   // Sets the objective to minimize (resp. maximize) c . x. The vector must
   // have one entry per variable.

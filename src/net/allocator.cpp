@@ -55,11 +55,6 @@ constexpr int kMinSlot = 4;
 // Rows a table can hold, so that row * kMaxPathLinks fits an int.
 constexpr std::size_t kMaxRows = std::numeric_limits<int>::max() / kMaxPathLinks;
 
-// slot_of_coflow_'s key for a coflow id (FlatMap reserves 0).
-std::uint64_t coflow_map_key(int coflow) {
-  return static_cast<std::uint64_t>(coflow) + 1;
-}
-
 // Appends `row` to the list `slot` keeps in `pool` (see FlowTable::RowSlot).
 template <typename Slot>
 void append_row(std::vector<int>& pool, Slot& slot, int row) {
@@ -147,6 +142,7 @@ void FlowTable::push_back(const Flow& flow) {
   path_links.insert(path_links.end(), flow.path.links.begin(),
                     flow.path.links.end());
   path_count.push_back(flow.path.count);
+  row_slot_.push_back(-1);
   for (int i = 0; i < flow.path.count; ++i) {
     const int link = flow.path.links[static_cast<std::size_t>(i)];
     const auto sl = static_cast<std::size_t>(link);
@@ -179,32 +175,47 @@ void FlowTable::list_in_coflow(int row) {
   if (key < 0) {
     singletons_.push_back(row);
   } else {
-    append_row(coflow_entries_,
-               coflows_[static_cast<std::size_t>(coflow_slot(key))], row);
+    const int s = coflow_slot(key);
+    row_slot_[static_cast<std::size_t>(row)] = s;
+    append_row(coflow_entries_, coflows_[static_cast<std::size_t>(s)], row);
   }
 }
 
 int FlowTable::coflow_slot(int key) {
-  // Rows of one coflow tend to start, and to retire, next to each other.
+  // Rows of one coflow tend to start next to each other.
   if (key == cached_key_) return cached_slot_;
-  int& slot = slot_of_coflow_[coflow_map_key(key)];
-  if (slot == 0) {
+  const auto key_of = [&](int s) {
+    return coflows_[static_cast<std::size_t>(s)].key;
+  };
+  // Listed by the last refresh, or opened since.
+  int slot = -1;
+  const auto it = std::lower_bound(
+      coflow_order_.begin(), coflow_order_.end(), key,
+      [&](int s, int k) { return key_of(s) < k; });
+  if (it != coflow_order_.end() && key_of(*it) == key) {
+    slot = *it;
+  } else {
+    const auto opened = std::find_if(new_coflows_.begin(), new_coflows_.end(),
+                                     [&](int s) { return key_of(s) == key; });
+    if (opened != new_coflows_.end()) slot = *opened;
+  }
+  if (slot < 0) {
     // A coflow without a slot: the next refresh places it in coflow_order_.
     if (free_coflows_.empty()) {
-      coflows_.emplace_back();
       slot = static_cast<int>(coflows_.size());
+      coflows_.emplace_back();
     } else {
-      slot = free_coflows_.back() + 1;
+      slot = free_coflows_.back();
       free_coflows_.pop_back();
     }
-    CoflowRows& rows = coflows_[static_cast<std::size_t>(slot - 1)];
+    CoflowRows& rows = coflows_[static_cast<std::size_t>(slot)];
     rows = CoflowRows{};
     rows.key = key;
-    new_coflows_.push_back(slot - 1);
+    new_coflows_.push_back(slot);
   }
   cached_key_ = key;
-  cached_slot_ = slot - 1;
-  return cached_slot_;
+  cached_slot_ = slot;
+  return slot;
 }
 
 void FlowTable::retire(std::size_t f) {
@@ -220,7 +231,13 @@ void FlowTable::retire(std::size_t f) {
   if (coflows_kept_ && coflow[f] < 0) {
     singletons_stale_ = true;
   } else if (coflows_kept_) {
-    const int s = coflow_slot(coflow[f]);
+    // The cache spares most retires a read of the slot column, which no
+    // walk over the rows keeps warm.
+    if (coflow[f] != cached_key_) {
+      cached_key_ = coflow[f];
+      cached_slot_ = row_slot_[f];
+    }
+    const int s = cached_slot_;
     CoflowRows& rows = coflows_[static_cast<std::size_t>(s)];
     if (!rows.stale) {
       rows.stale = 1;
@@ -308,8 +325,8 @@ void FlowTable::place_moved_links(bool any_left_order) {
 
 void FlowTable::refresh_coflows() {
   // The singleton list and each coflow that lost a row drop their
-  // tombstones. A coflow left without rows closes: it leaves the key order
-  // and the map, and its slot goes back to the free list.
+  // tombstones. A coflow left without rows closes: it leaves the key order,
+  // and its slot goes back to the free list.
   if (singletons_stale_) {
     singletons_stale_ = false;
     singletons_.resize(static_cast<std::size_t>(
@@ -323,7 +340,6 @@ void FlowTable::refresh_coflows() {
     rows.count = keep_live(coflow_entries_.data() + rows.begin, rows.count);
     coflow_rows_relisted_ += static_cast<std::uint64_t>(rows.count);
     if (rows.count > 0) continue;
-    slot_of_coflow_.erase(coflow_map_key(rows.key));
     if (rows.key == cached_key_) cached_key_ = -1;
     rows.capacity = 0;
     free_coflows_.push_back(s);
@@ -413,6 +429,7 @@ void FlowTable::move_row(std::size_t from, std::size_t to) {
     path_links[to * kMaxPathLinks + i] = path_links[from * kMaxPathLinks + i];
   }
   path_count[to] = path_count[from];
+  row_slot_[to] = row_slot_[from];
 }
 
 void FlowTable::resize(std::size_t n) {
@@ -426,6 +443,7 @@ void FlowTable::resize(std::size_t n) {
   cross_rack.resize(n);
   path_links.resize(n * kMaxPathLinks);
   path_count.resize(n);
+  row_slot_.resize(n);
 }
 
 FlowTable FlowTable::of(const std::vector<Flow>& flows) {

@@ -17,7 +17,6 @@
 
 #include "net/links.h"
 #include "obs/trace.h"
-#include "util/flat_map.h"
 
 namespace corral {
 
@@ -200,7 +199,8 @@ struct FlowTable {
   // returns how many are left.
   int keep_live(int* rows, int count) const;
   int first_touch_key(int link, int row) const;
-  // The slot of coflow `key` in coflows_, opening one if it has none.
+  // The slot of coflow `key` in coflows_, opening one if it has none. A
+  // coflow keeps its slot until the refresh after it loses its last row.
   int coflow_slot(int key);
   // Appends `row` to its coflow's list, or to the singletons.
   void list_in_coflow(int row);
@@ -217,9 +217,9 @@ struct FlowTable {
   std::vector<int> active_links_;
   std::vector<int> stale_links_;
   std::vector<int> moved_links_;
-  // Coflow key + 1 -> its slot in coflows_ + 1, for the live coflows and
-  // the ones that lost their last row since the last refresh.
-  FlatMap<int> slot_of_coflow_;
+  // Per row: the slot in coflows_ of the row's coflow, or -1 (no coflow,
+  // or not listed yet).
+  std::vector<int> row_slot_;
   std::vector<CoflowRows> coflows_;
   std::vector<int> free_coflows_;  // slots of coflows_ not in use
   std::vector<int> coflow_entries_;

@@ -54,24 +54,4 @@ std::vector<BatchResult> BatchRunner::run(
   });
 }
 
-std::vector<BatchResult> BatchRunner::run_policies(
-    std::span<const JobSpec> jobs, const SimConfig& config,
-    std::span<const std::function<std::unique_ptr<SchedulingPolicy>()>>
-        factories) const {
-  std::vector<BatchCase> cases;
-  cases.reserve(factories.size());
-  for (const auto& factory : factories) {
-    BatchCase batch_case;
-    batch_case.jobs.assign(jobs.begin(), jobs.end());
-    batch_case.config = config;
-    batch_case.make_policy = factory;
-    cases.push_back(std::move(batch_case));
-  }
-  std::vector<BatchResult> results = run(cases);
-  for (BatchResult& result : results) {
-    if (result.label.empty()) result.label = result.result.policy_name;
-  }
-  return results;
-}
-
 }  // namespace corral

@@ -60,12 +60,6 @@ class BatchRunner {
   // completion, then the smallest-index exception is rethrown.
   std::vector<BatchResult> run(std::span<const BatchCase> cases) const;
 
-  // Convenience for the common one-workload-many-policies comparison.
-  std::vector<BatchResult> run_policies(
-      std::span<const JobSpec> jobs, const SimConfig& config,
-      std::span<const std::function<std::unique_ptr<SchedulingPolicy>()>>
-          factories) const;
-
  private:
   exec::ThreadPool* pool_;
   obs::Tracer* tracer_ = nullptr;

@@ -99,14 +99,6 @@ void write_faults(std::ostream& out, const FaultSchedule& schedule) {
   }
 }
 
-void write_faults_file(const std::string& path,
-                       const FaultSchedule& schedule) {
-  std::ofstream out(path);
-  require(out.good(), "write_faults_file: cannot open output file");
-  write_faults(out, schedule);
-  require(out.good(), "write_faults_file: write failed");
-}
-
 FaultSchedule read_faults(std::istream& in) {
   std::string line;
   require(static_cast<bool>(std::getline(in, line)) &&

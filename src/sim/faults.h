@@ -91,7 +91,6 @@ FaultSchedule generate_fault_schedule(const ClusterConfig& cluster,
 // so fault timelines can be versioned next to workload traces and replayed
 // via corral_simulate --faults.
 void write_faults(std::ostream& out, const FaultSchedule& schedule);
-void write_faults_file(const std::string& path, const FaultSchedule& schedule);
 FaultSchedule read_faults(std::istream& in);
 FaultSchedule read_faults_file(const std::string& path);
 

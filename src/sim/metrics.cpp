@@ -32,15 +32,6 @@ double SimResult::median_completion() const {
   return percentile(times, 50);
 }
 
-std::vector<double> SimResult::all_reduce_durations() const {
-  std::vector<double> out;
-  for (const JobResult& job : jobs) {
-    out.insert(out.end(), job.reduce_durations.begin(),
-               job.reduce_durations.end());
-  }
-  return out;
-}
-
 std::vector<double> SimResult::per_job_avg_reduce_time() const {
   std::vector<double> out;
   for (const JobResult& job : jobs) {

@@ -82,7 +82,6 @@ struct SimResult {
   std::vector<double> completion_times() const;
   double avg_completion() const;
   double median_completion() const;
-  std::vector<double> all_reduce_durations() const;
   // Mean of per-job average reduce-task times (Fig 7c aggregates per job).
   std::vector<double> per_job_avg_reduce_time() const;
   // Average of rack_uplink_utilization (0 when unavailable).

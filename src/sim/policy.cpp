@@ -22,6 +22,12 @@ const PlannedJob* PlanLookup::find(int job_id) const {
   return it == by_job_id_.end() ? nullptr : &it->second;
 }
 
+void PlanLookup::set(int job_id, const PlannedJob& planned) {
+  by_job_id_[job_id] = planned;
+}
+
+void PlanLookup::erase(int job_id) { by_job_id_.erase(job_id); }
+
 std::unique_ptr<BlockPlacementPolicy> YarnCapacityPolicy::input_placement(
     const JobSpec&) {
   return std::make_unique<DefaultPlacement>();
@@ -41,22 +47,24 @@ CorralPolicy::CorralPolicy(const PlanLookup* plan) : plan_(plan) {
   require(plan_ != nullptr, "CorralPolicy: plan must not be null");
 }
 
+const PlannedJob* CorralPolicy::planned(const JobSpec& job) const {
+  // Ad hoc jobs use regular HDFS policies (§3.1).
+  return job.recurring ? plan_->find(job.id) : nullptr;
+}
+
 std::unique_ptr<BlockPlacementPolicy> CorralPolicy::input_placement(
     const JobSpec& job) {
-  const PlannedJob* planned = plan_->find(job.id);
-  if (planned == nullptr || !job.recurring) {
-    // Ad hoc jobs use regular HDFS policies (§3.1).
-    return std::make_unique<DefaultPlacement>();
-  }
-  return std::make_unique<CorralPlacement>(planned->racks);
+  const PlannedJob* entry = planned(job);
+  if (entry == nullptr) return std::make_unique<DefaultPlacement>();
+  return std::make_unique<CorralPlacement>(entry->racks);
 }
 
 std::vector<int> CorralPolicy::allowed_racks(
     const JobSpec& job, const Dfs&, const std::vector<const FileLayout*>&,
     Rng&) {
-  const PlannedJob* planned = plan_->find(job.id);
-  if (planned == nullptr || !job.recurring) return {};
-  return planned->racks;
+  const PlannedJob* entry = planned(job);
+  if (entry == nullptr) return {};
+  return entry->racks;
 }
 
 double CorralPolicy::priority(const JobSpec& job) const {
@@ -64,57 +72,34 @@ double CorralPolicy::priority(const JobSpec& job) const {
   // exactly like the planner's priority rank p_j); ad hoc jobs interleave
   // by arrival time on the same axis, so they use whatever slots the plan
   // leaves idle without being starved behind the entire plan.
-  const PlannedJob* planned = plan_->find(job.id);
-  if (planned == nullptr || !job.recurring) return job.arrival;
-  return planned->start_time;
+  const PlannedJob* entry = planned(job);
+  if (entry == nullptr) return job.arrival;
+  return entry->start_time;
 }
 
+// lookup_ is not constructed yet when CorralPolicy keeps its address; the
+// base reads it only after construction.
 CorralRepairPolicy::CorralRepairPolicy(std::vector<JobSpec> recurring_jobs,
                                        const ClusterConfig& cluster,
                                        const PlannerConfig& planner_config)
-    : jobs_(std::move(recurring_jobs)),
+    : CorralPolicy(&lookup_),
+      jobs_(std::move(recurring_jobs)),
       cluster_(cluster),
-      planner_config_(planner_config) {
-  const Plan plan = plan_offline(jobs_, cluster_, planner_config_);
-  for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    plan_.emplace(jobs_[i].id, plan.jobs[i]);
-  }
-}
-
-const PlannedJob* CorralRepairPolicy::find(const JobSpec& job) const {
-  if (!job.recurring) return nullptr;
-  const auto it = plan_.find(job.id);
-  return it == plan_.end() ? nullptr : &it->second;
-}
-
-std::unique_ptr<BlockPlacementPolicy> CorralRepairPolicy::input_placement(
-    const JobSpec& job) {
-  const PlannedJob* planned = find(job);
-  if (planned == nullptr) return std::make_unique<DefaultPlacement>();
-  return std::make_unique<CorralPlacement>(planned->racks);
-}
+      planner_config_(planner_config),
+      lookup_(jobs_, plan_offline(jobs_, cluster_, planner_config_)) {}
 
 std::vector<int> CorralRepairPolicy::allowed_racks(
-    const JobSpec& job, const Dfs&, const std::vector<const FileLayout*>&,
-    Rng&) {
-  submitted_[job.id] = true;
-  const PlannedJob* planned = find(job);
-  if (planned == nullptr) return {};
-  return planned->racks;
-}
-
-double CorralRepairPolicy::priority(const JobSpec& job) const {
-  const PlannedJob* planned = find(job);
-  if (planned == nullptr) return job.arrival;
-  return planned->start_time;
+    const JobSpec& job, const Dfs& dfs,
+    const std::vector<const FileLayout*>& input_files, Rng& rng) {
+  submitted_.insert(job.id);
+  return CorralPolicy::allowed_racks(job, dfs, input_files, rng);
 }
 
 void CorralRepairPolicy::on_rack_degraded(int, const ClusterTopology& topology,
                                           Seconds now) {
   std::vector<JobSpec> pending;
   for (const JobSpec& job : jobs_) {
-    const auto it = submitted_.find(job.id);
-    if (it == submitted_.end() || !it->second) pending.push_back(job);
+    if (!submitted_.contains(job.id)) pending.push_back(job);
   }
   if (pending.empty()) return;
 
@@ -123,7 +108,7 @@ void CorralRepairPolicy::on_rack_degraded(int, const ClusterTopology& topology,
   if (healthy.empty()) {
     // Nothing left to plan on: release the pending jobs to run
     // unconstrained wherever capacity survives.
-    for (const JobSpec& job : pending) plan_.erase(job.id);
+    for (const JobSpec& job : pending) lookup_.erase(job.id);
     ++repairs_;
     return;
   }
@@ -134,20 +119,9 @@ void CorralRepairPolicy::on_rack_degraded(int, const ClusterTopology& topology,
     // keeps repaired jobs prioritized after the already-dispatched prefix
     // of the original plan.
     entry.start_time += now;
-    plan_[pending[i].id] = entry;
+    lookup_.set(pending[i].id, entry);
   }
   ++repairs_;
-}
-
-void CorralRepairPolicy::on_rack_recovered(int, const ClusterTopology&,
-                                           Seconds) {
-  // Recovered racks re-enter the planning universe at the next repair; the
-  // simulator re-arms the constraints of already-planned jobs itself.
-}
-
-LocalShufflePolicy::LocalShufflePolicy(const PlanLookup* plan)
-    : plan_(plan) {
-  require(plan_ != nullptr, "LocalShufflePolicy: plan must not be null");
 }
 
 std::unique_ptr<BlockPlacementPolicy> LocalShufflePolicy::input_placement(
@@ -155,20 +129,6 @@ std::unique_ptr<BlockPlacementPolicy> LocalShufflePolicy::input_placement(
   // The whole point of this baseline: Corral's task placement, HDFS's
   // random data placement (§6.1).
   return std::make_unique<DefaultPlacement>();
-}
-
-std::vector<int> LocalShufflePolicy::allowed_racks(
-    const JobSpec& job, const Dfs&, const std::vector<const FileLayout*>&,
-    Rng&) {
-  const PlannedJob* planned = plan_->find(job.id);
-  if (planned == nullptr || !job.recurring) return {};
-  return planned->racks;
-}
-
-double LocalShufflePolicy::priority(const JobSpec& job) const {
-  const PlannedJob* planned = plan_->find(job.id);
-  if (planned == nullptr || !job.recurring) return job.arrival;
-  return planned->start_time;
 }
 
 ShuffleWatcherPolicy::ShuffleWatcherPolicy(int slots_per_rack)

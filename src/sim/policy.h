@@ -12,6 +12,8 @@
 //     constraints, FIFO by arrival, delay scheduling for map locality.
 //   * CorralPolicy        — the paper's system: plan-driven data placement
 //     (one replica inside R_j), tasks constrained to R_j, plan priorities.
+//   * CorralRepairPolicy  — CorralPolicy over a plan it repairs when a rack
+//     degrades (§7).
 //   * LocalShufflePolicy  — Corral's task placement but HDFS's default data
 //     placement; isolates the contribution of input placement (§6.1).
 //   * ShuffleWatcherPolicy — per-job greedy rack subset chosen at submit
@@ -22,6 +24,7 @@
 #include <memory>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "corral/planner.h"
@@ -44,6 +47,10 @@ class PlanLookup {
 
   // Returns nullptr for jobs the planner did not see (ad hoc jobs).
   const PlannedJob* find(int job_id) const;
+  // A plan repair: replaces (or adds) the entry of `job_id`, or drops it so
+  // the job runs like an ad hoc one.
+  void set(int job_id, const PlannedJob& planned);
+  void erase(int job_id);
 
  private:
   std::unordered_map<int, PlannedJob> by_job_id_;
@@ -94,6 +101,9 @@ class YarnCapacityPolicy : public SchedulingPolicy {
   double priority(const JobSpec& job) const override;
 };
 
+// Follows a plan (§3.1): a recurring job the plan covers gets one input
+// replica inside its planned racks, runs on those racks only, and is
+// ordered by its planned start time; any other job is handled like Yarn-CS.
 class CorralPolicy : public SchedulingPolicy {
  public:
   explicit CorralPolicy(const PlanLookup* plan);
@@ -107,64 +117,56 @@ class CorralPolicy : public SchedulingPolicy {
   double priority(const JobSpec& job) const override;
 
  private:
+  // The plan's entry for `job`; nullptr for a job to handle like Yarn-CS.
+  const PlannedJob* planned(const JobSpec& job) const;
+
   const PlanLookup* plan_;
 };
 
 // Corral with plan repair (§7): behaves exactly like CorralPolicy until a
 // rack durably degrades below kRackHealthThreshold; then it re-runs the
 // two-phase planner over the recurring jobs that have not yet been
-// submitted, against the healthy racks only, and serves the repaired
-// allocations (placement, constraints, priorities) from that point on.
-// Jobs already running keep their original plan entries — the simulator's
-// constraint-fallback path handles them. Owns its plan, so it needs the
-// recurring job specs rather than a prebuilt PlanLookup.
-class CorralRepairPolicy : public SchedulingPolicy {
+// submitted, against the healthy racks only, and follows the repaired
+// plan from that point on. Jobs already running keep their original plan
+// entries — the simulator's constraint-fallback path handles them.
+// Recovered racks re-enter the planning universe at the next repair. Owns
+// its plan, so it needs the recurring job specs rather than a PlanLookup.
+class CorralRepairPolicy : public CorralPolicy {
  public:
   CorralRepairPolicy(std::vector<JobSpec> recurring_jobs,
                      const ClusterConfig& cluster,
                      const PlannerConfig& planner_config);
 
   std::string_view name() const override { return "corral-repair"; }
-  std::unique_ptr<BlockPlacementPolicy> input_placement(
-      const JobSpec& job) override;
+  // CorralPolicy's racks; also marks the job as submitted.
   std::vector<int> allowed_racks(
       const JobSpec& job, const Dfs& dfs,
       const std::vector<const FileLayout*>& input_files, Rng& rng) override;
-  double priority(const JobSpec& job) const override;
 
   void on_rack_degraded(int rack, const ClusterTopology& topology,
                         Seconds now) override;
-  void on_rack_recovered(int rack, const ClusterTopology& topology,
-                         Seconds now) override;
 
   // Number of repair replans performed so far.
   int repairs() const { return repairs_; }
 
  private:
-  const PlannedJob* find(const JobSpec& job) const;
-
   std::vector<JobSpec> jobs_;
   ClusterConfig cluster_;
   PlannerConfig planner_config_;
-  std::unordered_map<int, PlannedJob> plan_;  // by job id
-  std::unordered_map<int, bool> submitted_;   // by job id
+  PlanLookup lookup_;  // the plan CorralPolicy follows
+  std::unordered_set<int> submitted_;  // job ids
   int repairs_ = 0;
 };
 
-class LocalShufflePolicy : public SchedulingPolicy {
+// Corral's task placement and priorities over HDFS's default data
+// placement: isolates the contribution of input placement (§6.1).
+class LocalShufflePolicy : public CorralPolicy {
  public:
-  explicit LocalShufflePolicy(const PlanLookup* plan);
+  using CorralPolicy::CorralPolicy;
 
   std::string_view name() const override { return "local-shuffle"; }
   std::unique_ptr<BlockPlacementPolicy> input_placement(
       const JobSpec& job) override;
-  std::vector<int> allowed_racks(
-      const JobSpec& job, const Dfs& dfs,
-      const std::vector<const FileLayout*>& input_files, Rng& rng) override;
-  double priority(const JobSpec& job) const override;
-
- private:
-  const PlanLookup* plan_;
 };
 
 class ShuffleWatcherPolicy : public SchedulingPolicy {

@@ -676,14 +676,13 @@ class Simulator {
       // Remote read: stream the chunk from the closest healthy replica,
       // then process. (Remote maps pay the transfer in full; locality is
       // exactly what delay scheduling and Corral's placement buy back.)
-      const int src = pick_replica(*S.input_file, task, machine);
+      const int src = S.input_file->closest_replica(task, machine, topology_);
       if (src < 0) {
         // Every replica of the input chunk is gone: the job can never
         // produce its output. Fail it cleanly.
         fail_job(j);
         return -1;
       }
-      if (src == machine) return 0;
       note_flow(network_.start_flow(
           FlowDesc{src, machine, input_share, 1.0, /*coflow=*/-1, tag}));
       return 1;
@@ -1527,21 +1526,6 @@ class Simulator {
   // --------------------------------------------------------------- helpers
 
   int coflow_id(int j, int s) const { return j * 64 + s; }
-
-  // Returns a healthy replica host (rack-local preferred), or -1 when every
-  // replica of the chunk is gone — the caller fails the job.
-  int pick_replica(const FileLayout& file, int chunk, int machine) const {
-    const auto& replicas =
-        file.chunks[static_cast<std::size_t>(chunk)].machines;
-    const int rack = topology_.rack_of(machine);
-    int any_healthy = -1;
-    for (int m : replicas) {
-      if (!topology_.is_up(m)) continue;
-      if (topology_.rack_of(m) == rack) return m;
-      if (any_healthy < 0) any_healthy = m;
-    }
-    return any_healthy;
-  }
 
   void free_slot(int machine) {
     if (!topology_.is_up(machine)) return;

@@ -33,10 +33,12 @@ void FlagParser::add_flag(const std::string& name, Type type,
   require(!parsed_, "FlagParser: cannot add flags after parse()");
   require(!name.empty() && name.rfind("--", 0) != 0,
           "FlagParser: flag names must be non-empty without '--'");
-  const auto [it, inserted] =
-      flags_.emplace(name, Flag{type, std::move(help), std::move(value)});
-  require(inserted, "FlagParser: duplicate flag name");
-  (void)it;
+  Flag flag;
+  flag.type = type;
+  flag.help = std::move(help);
+  flag.value = std::move(value);
+  require(flags_.emplace(name, std::move(flag)).second,
+          "FlagParser: duplicate flag name");
 }
 
 void FlagParser::add_string(const std::string& name,

@@ -41,21 +41,6 @@ std::size_t Rng::index(std::size_t size) {
   return std::uniform_int_distribution<std::size_t>(0, size - 1)(engine_);
 }
 
-std::vector<std::size_t> Rng::sample_without_replacement(std::size_t size,
-                                                         std::size_t count) {
-  require(count <= size, "sample_without_replacement: count exceeds size");
-  std::vector<std::size_t> pool(size);
-  for (std::size_t i = 0; i < size; ++i) pool[i] = i;
-  // Partial Fisher-Yates: only the first `count` positions are finalized.
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t j =
-        i + std::uniform_int_distribution<std::size_t>(0, size - i - 1)(engine_);
-    std::swap(pool[i], pool[j]);
-  }
-  pool.resize(count);
-  return pool;
-}
-
 Rng Rng::fork() { return Rng(engine_()); }
 
 }  // namespace corral

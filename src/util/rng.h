@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <random>
 #include <span>
-#include <vector>
 
 namespace corral {
 
@@ -38,10 +37,6 @@ class Rng {
   // elements. Requires size > 0.
   std::size_t index(std::size_t size);
 
-  // Samples `count` distinct values from [0, size). Requires count <= size.
-  std::vector<std::size_t> sample_without_replacement(std::size_t size,
-                                                      std::size_t count);
-
   // Fisher-Yates shuffle.
   template <typename T>
   void shuffle(std::span<T> values) {
@@ -59,6 +54,13 @@ class Rng {
  private:
   std::mt19937_64 engine_;
 };
+
+// The seed of stream `index` derived from `seed` (splitmix-style stream
+// separation): one independent stream per epoch, pipeline, tenant, or
+// (epoch, chaos fault kind).
+inline std::uint64_t substream(std::uint64_t seed, std::uint64_t index) {
+  return seed ^ (0x9e3779b97f4a7c15ull * (index + 1));
+}
 
 }  // namespace corral
 

@@ -40,16 +40,6 @@ double percentile(std::span<const double> values, double p) {
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
-double min_value(std::span<const double> values) {
-  require(!values.empty(), "min_value: empty input");
-  return *std::min_element(values.begin(), values.end());
-}
-
-double max_value(std::span<const double> values) {
-  require(!values.empty(), "max_value: empty input");
-  return *std::max_element(values.begin(), values.end());
-}
-
 double sum(std::span<const double> values) {
   return std::accumulate(values.begin(), values.end(), 0.0);
 }

@@ -23,8 +23,6 @@ double coefficient_of_variation(std::span<const double> values);
 // single-element input returns that element for every p.
 double percentile(std::span<const double> values, double p);
 
-double min_value(std::span<const double> values);
-double max_value(std::span<const double> values);
 double sum(std::span<const double> values);
 
 // An empirical CDF: sorted sample values with evaluation helpers.

@@ -82,24 +82,30 @@ TEST(Batch, MatchesSerialRunsInSubmissionOrder) {
   expect_identical(batch[1].result, serial_b);
 }
 
-TEST(Batch, RunPoliciesLabelsFromPolicyName) {
+TEST(Batch, RunsEachCaseUnderItsOwnPolicy) {
   const SimConfig sim = small_sim();
   const auto jobs = small_jobs(33, 6);
-  std::vector<std::function<std::unique_ptr<SchedulingPolicy>()>> factories;
-  factories.push_back([]() -> std::unique_ptr<SchedulingPolicy> {
+  std::vector<BatchCase> cases(2);
+  for (BatchCase& batch_case : cases) {
+    batch_case.jobs = jobs;
+    batch_case.config = sim;
+  }
+  cases[0].make_policy = []() -> std::unique_ptr<SchedulingPolicy> {
     return std::make_unique<YarnCapacityPolicy>();
-  });
+  };
   const int slots_per_rack = sim.cluster.slots_per_rack();
-  factories.push_back([slots_per_rack]() -> std::unique_ptr<SchedulingPolicy> {
+  cases[1].make_policy =
+      [slots_per_rack]() -> std::unique_ptr<SchedulingPolicy> {
     return std::make_unique<ShuffleWatcherPolicy>(slots_per_rack);
-  });
+  };
 
   exec::ThreadPool pool(2);
-  const auto batch = BatchRunner(&pool).run_policies(jobs, sim, factories);
+  const auto batch = BatchRunner(&pool).run(cases);
   ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0].label, batch[0].result.policy_name);
-  EXPECT_EQ(batch[1].label, batch[1].result.policy_name);
-  EXPECT_NE(batch[0].label, batch[1].label);
+  EXPECT_EQ(batch[0].result.policy_name, "yarn-cs");
+  EXPECT_EQ(batch[1].result.policy_name, "shufflewatcher");
+  EXPECT_TRUE(batch[0].label.empty());
+  EXPECT_TRUE(batch[1].label.empty());
 }
 
 TEST(Batch, MissingFactoryIsRejected) {

@@ -198,12 +198,13 @@ TEST(Determinism, BatchRunnerIsByteIdenticalAcrossWidths) {
 // --- pinned simulator outputs ---------------------------------------------
 //
 // FNV-1a digests of three artifacts of one simulation — the results CSV,
-// the metrics JSON and the Chrome trace at kFlows — for five small configs
-// that each drive one branch of the task-attempt lifecycle: speculation, a
-// crash that kills backups, crash recovery with replica writes, DAG fan-in
-// under Corral, and job failure. A refactor of the simulator must leave all
-// fifteen unchanged; each config also checks from its own trace that its
-// branch really fired.
+// the metrics JSON and the Chrome trace at kFlows — for small configs that
+// each drive one branch of the task-attempt lifecycle: speculation, a crash
+// that kills backups, crash recovery with replica writes, DAG fan-in under
+// Corral, and job failure; and for the two other plan-following policies
+// around a plan repair. A refactor of the simulator or of the policies must
+// leave every digest unchanged; each config also checks that its branch
+// really fired.
 
 struct SimArtifacts {
   SimResult result;
@@ -518,6 +519,50 @@ TEST(SimDigest, DagFanInUnderCorral) {
   EXPECT_GT(fanin_fetches, 0);
   expect_digests(run, "fae58bfa1d5f2f2e", "ebcbe81f1d0a5ac0",
                  "18e547c8b4955a17");
+}
+
+TEST(SimDigest, PlanFollowingPoliciesWithRepair) {
+  // Four recurring jobs and one ad hoc job, 40 s apart. Three of rack 1's
+  // four machines crash at 30 s and come back ten minutes later, so the
+  // rack degrades once while three recurring jobs have not arrived yet.
+  // LocalShufflePolicy follows the plan's racks and priorities over random
+  // input placement; CorralRepairPolicy replans the pending jobs onto the
+  // healthy racks and follows the repaired plan.
+  std::vector<JobSpec> jobs;
+  for (int i = 0; i < 5; ++i) {
+    jobs.push_back(JobSpec::map_reduce(i, "plan" + std::to_string(i),
+                                       digest_stage(16, 8), 40.0 * i));
+  }
+  jobs[2].recurring = false;
+  std::vector<JobSpec> recurring;
+  for (const JobSpec& job : jobs) {
+    if (job.recurring) recurring.push_back(job);
+  }
+  SimConfig config;
+  config.cluster = digest_cluster();
+  config.seed = 19;
+  for (int machine : {4, 5, 6}) {
+    config.faults.events.push_back({30.0, FaultType::kCrash, machine});
+    config.faults.events.push_back({630.0, FaultType::kRecover, machine});
+  }
+
+  const Plan plan = plan_offline(recurring, config.cluster, PlannerConfig{});
+  const PlanLookup lookup(recurring, plan);
+  LocalShufflePolicy local(&lookup);
+  const SimArtifacts local_run = run_traced(jobs, local, config);
+  EXPECT_EQ(local_run.result.jobs_failed, 0);
+  expect_digests(local_run, "bd1bfff07c8dbed8", "3e1f9d576074eee7",
+                 "b10159889a7970fc");
+
+  CorralRepairPolicy repair(recurring, config.cluster, PlannerConfig{});
+  const SimArtifacts repair_run = run_traced(jobs, repair, config);
+  EXPECT_EQ(repair.repairs(), 1);
+  EXPECT_EQ(repair_run.result.jobs_failed, 0);
+  // The repair moved the pending jobs off the original plan.
+  CorralPolicy unrepaired(&lookup);
+  EXPECT_NE(run_traced(jobs, unrepaired, config).csv, repair_run.csv);
+  expect_digests(repair_run, "2e088fe3843c5114", "1e40dc556ed6ff7c",
+                 "d6bd419b47f6f0d0");
 }
 
 TEST(SimDigest, JobFailsWithLiveAttempts) {

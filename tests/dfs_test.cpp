@@ -106,12 +106,14 @@ TEST_F(DfsTest, LoadAccountingAndRemove) {
   for (int r = 0; r < topology_.racks(); ++r) rack_total += dfs_.rack_bytes(r);
   EXPECT_NEAR(rack_total, 90 * kGB, 1);
 
-  dfs_.remove_file("f");
+  // Dropping every machine's replicas removes every byte; the file stays,
+  // with no replica left.
+  for (int m = 0; m < topology_.machines(); ++m) dfs_.drop_replicas_on(m);
   for (int m = 0; m < topology_.machines(); ++m) {
     EXPECT_DOUBLE_EQ(dfs_.machine_bytes(m), 0.0);
   }
-  EXPECT_FALSE(dfs_.has_file("f"));
-  EXPECT_THROW(dfs_.remove_file("f"), std::invalid_argument);
+  EXPECT_TRUE(dfs_.file("f").chunks[0].machines.empty());
+  EXPECT_THROW(dfs_.drop_replicas_on(-1), std::invalid_argument);
 }
 
 // One healthy machine among 210: the rejection draws for the first replica
@@ -181,12 +183,29 @@ TEST_F(DfsTest, ClosestReplicaPrefersMachineThenRack) {
   EXPECT_EQ(topology_.rack_of(chosen), rack);
 }
 
+TEST_F(DfsTest, ClosestReplicaSkipsMachinesThatAreDown) {
+  DefaultPlacement policy;
+  const FileLayout& layout = dfs_.write_file("f", 1 * kGB, 1, policy, rng_);
+  const std::vector<int> replicas = layout.chunks[0].machines;
+  const int rack = topology_.rack_of(replicas[0]);
+  ASSERT_EQ(topology_.rack_of(replicas[1]), rack);
+  ASSERT_NE(topology_.rack_of(replicas[2]), rack);
+  int reader = topology_.first_machine_of_rack(rack);
+  while (reader == replicas[0] || reader == replicas[1]) ++reader;
+  topology_.fail_machine(replicas[0]);
+  EXPECT_EQ(layout.closest_replica(0, replicas[0], topology_), replicas[1]);
+  EXPECT_EQ(layout.closest_replica(0, reader, topology_), replicas[1]);
+  topology_.fail_machine(replicas[1]);
+  EXPECT_EQ(layout.closest_replica(0, reader, topology_), replicas[2]);
+  topology_.fail_machine(replicas[2]);
+  EXPECT_EQ(layout.closest_replica(0, reader, topology_), -1);
+}
+
 TEST_F(DfsTest, ChunkQueriesWork) {
   DefaultPlacement policy;
   const FileLayout& layout = dfs_.write_file("f", 1 * kGB, 2, policy, rng_);
   const int m = layout.chunks[0].machines[0];
   EXPECT_TRUE(layout.chunk_on_machine(0, m));
-  EXPECT_TRUE(layout.chunk_in_rack(0, topology_.rack_of(m), topology_));
 }
 
 // ---------------------------------------------------------------- pins

@@ -178,8 +178,12 @@ void expect_matches_from_scratch(const Network& net,
 
 // Drives a network through a seeded random mix of flow starts (machine,
 // fan-in and storage), advances (zero, partial, to within a hair of a
-// completion, and to the next completion), cancellations and background
-// changes, checking every reallocation against a from-scratch table.
+// completion, and to the next completion), cancellations, background
+// changes and bursts, checking every reallocation against a from-scratch
+// table. A burst cancels flows and starts several before the next
+// reallocation: one coflow loses all of its rows and reopens under the same
+// key, others lose some rows and gain one, and new coflows open at once,
+// before a refresh has placed them.
 void drive_against_scratch(const ClusterConfig& cluster, NetPolicy policy,
                            std::uint64_t seed, int steps) {
   SCOPED_TRACE(std::string(to_string(policy)) + " seed " +
@@ -191,15 +195,18 @@ void drive_against_scratch(const ClusterConfig& cluster, NetPolicy policy,
   const int machines = cluster.total_machines();
   std::uint64_t tag = 0;
   int checked = 0;
+  const auto start_flow = [&](Bytes bytes, double width, int coflow) {
+    const int src = rng.uniform_int(0, machines - 1);
+    const int dst = (src + rng.uniform_int(1, machines - 1)) % machines;
+    net.start_flow({src, dst, bytes, width, coflow, tag++});
+  };
   for (int step = 0; step < steps; ++step) {
     const Bytes bytes = rng.uniform(1.0, 200.0) * kMB;
     const double width = 1 + rng.uniform_int(0, 3);
     const int coflow = rng.uniform_int(-1, 5);
-    const int op = rng.uniform_int(0, 99);
+    const int op = rng.uniform_int(0, 104);
     if (op < 30) {
-      const int src = rng.uniform_int(0, machines - 1);
-      const int dst = (src + rng.uniform_int(1, machines - 1)) % machines;
-      net.start_flow({src, dst, bytes, width, coflow, tag++});
+      start_flow(bytes, width, coflow);
     } else if (op < 48) {
       net.start_fanin_flow(rng.uniform_int(0, cluster.racks - 1),
                            rng.uniform_int(0, machines - 1), bytes, width,
@@ -218,8 +225,18 @@ void drive_against_scratch(const ClusterConfig& cluster, NetPolicy policy,
       const auto residue = static_cast<std::uint64_t>(rng.uniform_int(0, 8));
       net.cancel_flows_if(
           [&](const Flow& flow) { return flow.tag % modulus == residue; });
-    } else {
+    } else if (op < 100) {
       net.set_background_fraction(rng.uniform(0.0, 0.8));
+    } else {
+      const int reopened = rng.uniform_int(0, 11);
+      net.cancel_flows_if([&](const Flow& flow) {
+        return flow.coflow == reopened || flow.tag % 3 == 0;
+      });
+      start_flow(bytes, width, reopened);
+      // Keys above 5 are rare, so most of them open a new coflow.
+      for (int i = rng.uniform_int(2, 5); i > 0; --i) {
+        start_flow(bytes, width, rng.uniform_int(-1, 11));
+      }
     }
     const std::uint64_t before = net.counters().reallocations;
     net.time_to_next_completion();  // reallocates if anything changed

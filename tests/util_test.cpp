@@ -131,23 +131,6 @@ TEST(Rng, UniformWithinBounds) {
   }
 }
 
-TEST(Rng, SampleWithoutReplacementIsDistinct) {
-  Rng rng(3);
-  const auto sample = rng.sample_without_replacement(50, 20);
-  ASSERT_EQ(sample.size(), 20u);
-  std::vector<bool> seen(50, false);
-  for (std::size_t v : sample) {
-    ASSERT_LT(v, 50u);
-    EXPECT_FALSE(seen[v]);
-    seen[v] = true;
-  }
-}
-
-TEST(Rng, SampleRejectsOversizedCount) {
-  Rng rng(3);
-  EXPECT_THROW(rng.sample_without_replacement(5, 6), std::invalid_argument);
-}
-
 TEST(Rng, ExponentialHasRequestedMean) {
   Rng rng(5);
   double total = 0;
